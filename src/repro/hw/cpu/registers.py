@@ -22,6 +22,11 @@ class RegClass(enum.Enum):
     EL2_CONFIG = "EL2 Config Regs"
     EL2_VIRTUAL_MEMORY = "EL2 Virtual Memory Regs"
 
+    # Every RegClass-keyed image lookup hashes a member; members are
+    # singletons (unpickling returns the same member), so the C-level
+    # identity hash is exact and skips Enum's hash-of-name.
+    __hash__ = object.__hash__
+
 
 #: Representative register names per class.  The specific names matter for
 #: the VHE register-redirection model (TTBR1_EL1 vs TTBR1_EL2 and friends).
@@ -57,13 +62,21 @@ REGISTER_NAMES = {
     RegClass.EL2_VIRTUAL_MEMORY: ["vttbr_el2", "vtcr_el2", "vpidr_el2", "vmpidr_el2"],
 }
 
+#: One zeroed image per class; banks and fresh contexts copy these.
+_ZERO_IMAGES = {
+    reg_class: dict.fromkeys(names, 0) for reg_class, names in REGISTER_NAMES.items()
+}
+_NAME_SETS = {reg_class: frozenset(names) for reg_class, names in REGISTER_NAMES.items()}
+_ALL_CLASSES = tuple(RegClass)
+
 
 class RegisterBank:
     """Named registers of one class with default-zero values."""
 
     def __init__(self, reg_class):
         self.reg_class = reg_class
-        self._values = {name: 0 for name in REGISTER_NAMES[reg_class]}
+        self._values = _ZERO_IMAGES[reg_class].copy()
+        self._names = _NAME_SETS[reg_class]
 
     def read(self, name):
         if name not in self._values:
@@ -84,11 +97,11 @@ class RegisterBank:
 
     def snapshot(self):
         """Copy of all values (a memory image of this bank)."""
-        return dict(self._values)
+        return self._values.copy()
 
     def load(self, image):
         """Restore all values from a memory image."""
-        if set(image) != set(self._values):
+        if image.keys() != self._names:
             raise HardwareFault(
                 "image does not match register class %s" % self.reg_class.name
             )
@@ -100,7 +113,7 @@ class RegisterFile:
 
     def __init__(self, classes=None):
         if classes is None:
-            classes = list(RegClass)
+            classes = _ALL_CLASSES
         self.banks = {reg_class: RegisterBank(reg_class) for reg_class in classes}
 
     def bank(self, reg_class):
@@ -116,15 +129,25 @@ class RegisterFile:
 
     def snapshot(self, classes=None):
         """Memory image {RegClass: {name: value}} of selected classes."""
+        banks = self.banks
         if classes is None:
-            classes = list(self.banks)
-        return {reg_class: self.bank(reg_class).snapshot() for reg_class in classes}
+            classes = banks
+        try:
+            return {reg_class: banks[reg_class]._values.copy() for reg_class in classes}
+        except KeyError as missing:
+            raise HardwareFault("no bank for class %s" % (missing.args[0],)) from None
 
     def load(self, image):
+        banks = self.banks
         for reg_class, bank_image in image.items():
-            self.bank(reg_class).load(bank_image)
+            bank = banks.get(reg_class)
+            if bank is None:
+                raise HardwareFault("no bank for class %s" % (reg_class,))
+            bank.load(bank_image)
 
 
 def fresh_context_image(classes=None):
     """A zeroed saved-context image (what a new VCPU starts from)."""
-    return RegisterFile(classes).snapshot()
+    if classes is None:
+        classes = _ALL_CLASSES
+    return {reg_class: _ZERO_IMAGES[reg_class].copy() for reg_class in classes}

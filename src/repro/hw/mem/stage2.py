@@ -11,6 +11,9 @@ from repro.hw.mem.address import GPA, HPA, PAGE_SHIFT
 
 LEVELS = 3
 BITS_PER_LEVEL = 9  # 4K granule, 512 entries per table
+_INDEX_MASK = (1 << BITS_PER_LEVEL) - 1
+#: page-number shift of each table level above the leaf (root first)
+_TABLE_SHIFTS = tuple(BITS_PER_LEVEL * (LEVELS - 1 - level) for level in range(LEVELS - 1))
 
 
 class Stage2Fault(HardwareFault):
@@ -29,43 +32,41 @@ class Stage2Tables:
         self.vmid = vmid
         self._root = {}
 
-    @staticmethod
-    def _indices(page):
-        indices = []
-        for level in range(LEVELS):
-            shift = BITS_PER_LEVEL * (LEVELS - 1 - level)
-            indices.append((page >> shift) & ((1 << BITS_PER_LEVEL) - 1))
-        return indices
+    def _leaf_table(self, page):
+        """The last-level table holding ``page``, or None if absent."""
+        node = self._root
+        for shift in _TABLE_SHIFTS:
+            node = node.get((page >> shift) & _INDEX_MASK)
+            if node is None:
+                return None
+        return node
 
     def map_page(self, gpa_page, hpa_page, writable=True):
         """Install a 4K mapping gpa_page -> hpa_page."""
         node = self._root
-        indices = self._indices(gpa_page)
-        for index in indices[:-1]:
-            node = node.setdefault(index, {})
-        node[indices[-1]] = (hpa_page, writable)
+        for shift in _TABLE_SHIFTS:
+            index = (gpa_page >> shift) & _INDEX_MASK
+            child = node.get(index)
+            if child is None:
+                child = node[index] = {}
+            node = child
+        node[gpa_page & _INDEX_MASK] = (hpa_page, writable)
 
     def unmap_page(self, gpa_page):
-        node = self._root
-        indices = self._indices(gpa_page)
-        for index in indices[:-1]:
-            if index not in node:
-                raise HardwareFault("unmapping unmapped page 0x%x" % gpa_page)
-            node = node[index]
-        if indices[-1] not in node:
+        leaf = self._leaf_table(gpa_page)
+        index = gpa_page & _INDEX_MASK
+        if leaf is None or index not in leaf:
             raise HardwareFault("unmapping unmapped page 0x%x" % gpa_page)
-        del node[indices[-1]]
+        del leaf[index]
 
     def walk(self, gpa, write=False):
         """Translate; returns (HPA, levels_walked).  Faults if unmapped."""
         gpa = GPA(gpa)
-        node = self._root
-        indices = self._indices(gpa.page)
-        for depth, index in enumerate(indices[:-1]):
-            if index not in node:
-                raise Stage2Fault(gpa, write)
-            node = node[index]
-        entry = node.get(indices[-1])
+        page = gpa.page
+        leaf = self._leaf_table(page)
+        if leaf is None:
+            raise Stage2Fault(gpa, write)
+        entry = leaf.get(page & _INDEX_MASK)
         if entry is None:
             raise Stage2Fault(gpa, write)
         hpa_page, writable = entry

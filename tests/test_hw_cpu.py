@@ -1,10 +1,13 @@
 """Unit tests for the ARM and x86 CPU models."""
 
+import pickle
+
 import pytest
 
 from repro.errors import HardwareFault
 from repro.hw.cpu import ArmCpu, ExceptionLevel, RegClass, RegisterFile, Vmcs, X86Cpu
 from repro.hw.cpu.registers import REGISTER_NAMES, RegisterBank, fresh_context_image
+from repro.hw.cpu.x86 import VMCS_GUEST_CLASSES
 
 
 class TestRegisterBank:
@@ -64,6 +67,117 @@ class TestRegisterFile:
     def test_fresh_context_image_is_zeroed(self):
         image = fresh_context_image([RegClass.GP])
         assert all(value == 0 for value in image[RegClass.GP].values())
+
+
+class TestRegisterFileContract:
+    """Images are plain dicts copied from per-class zero templates: every
+    copy must be independent, and every shape violation must still fault."""
+
+    def test_fresh_images_are_independent_copies(self):
+        first = fresh_context_image()
+        second = fresh_context_image()
+        first[RegClass.GP]["x0"] = 0xBAD
+        first[RegClass.VGIC]["gich_lr0"] = 0xBAD
+        assert second[RegClass.GP]["x0"] == 0
+        assert second[RegClass.VGIC]["gich_lr0"] == 0
+        later = fresh_context_image()
+        assert all(
+            value == 0 for bank in later.values() for value in bank.values()
+        )
+
+    def test_fresh_image_covers_every_class_in_table_order(self):
+        image = fresh_context_image()
+        assert list(image) == list(RegClass)
+        for reg_class in RegClass:
+            assert list(image[reg_class]) == REGISTER_NAMES[reg_class]
+
+    def test_new_banks_are_independent(self):
+        first = RegisterBank(RegClass.TIMER)
+        second = RegisterBank(RegClass.TIMER)
+        first.write("cntv_ctl_el0", 5)
+        assert second.read("cntv_ctl_el0") == 0
+        assert RegisterBank(RegClass.TIMER).read("cntv_ctl_el0") == 0
+        assert fresh_context_image([RegClass.TIMER])[RegClass.TIMER]["cntv_ctl_el0"] == 0
+
+    def test_register_files_do_not_share_banks(self):
+        first, second = RegisterFile(), RegisterFile()
+        first.write(RegClass.EL1_SYS, "sctlr_el1", 1)
+        assert second.read(RegClass.EL1_SYS, "sctlr_el1") == 0
+
+    def test_snapshot_and_load_copy_rather_than_alias(self):
+        regs = RegisterFile()
+        image = regs.snapshot()
+        image[RegClass.GP]["x1"] = 11
+        assert regs.read(RegClass.GP, "x1") == 0
+        regs.load(image)
+        image[RegClass.GP]["x1"] = 22
+        assert regs.read(RegClass.GP, "x1") == 11
+
+    def test_vcpu_saved_contexts_are_independent(self):
+        from repro.hv import KvmHypervisor
+        from repro.hw.platform import Machine, arm_m400
+
+        hypervisor = KvmHypervisor(Machine(arm_m400()))
+        vm = hypervisor.create_vm("vm0", 2, [4, 5])
+        other = hypervisor.create_vm("vm1", 1, [6])
+        vm.vcpu(0).saved_context[RegClass.EL1_SYS]["ttbr0_el1"] = 0xABC
+        vm.vcpu(0).saved_context[RegClass.GP]["pc"] = 0x8000
+        for vcpu in (vm.vcpu(1), other.vcpu(0)):
+            assert vcpu.saved_context[RegClass.EL1_SYS]["ttbr0_el1"] == 0
+            assert vcpu.saved_context[RegClass.GP]["pc"] == 0
+        assert fresh_context_image()[RegClass.EL1_SYS]["ttbr0_el1"] == 0
+
+    def test_vmcs_areas_are_independent(self):
+        first, second = Vmcs("a"), Vmcs("b")
+        first.guest_state[RegClass.GP]["x0"] = 1
+        assert first.host_state[RegClass.GP]["x0"] == 0
+        assert second.guest_state[RegClass.GP]["x0"] == 0
+        assert list(first.guest_state) == VMCS_GUEST_CLASSES
+
+    def test_snapshot_of_absent_class_faults(self):
+        regs = RegisterFile([RegClass.GP])
+        with pytest.raises(HardwareFault, match="no bank for class"):
+            regs.snapshot([RegClass.VGIC])
+        with pytest.raises(HardwareFault):
+            regs.snapshot([RegClass.GP, RegClass.FP])
+
+    def test_bank_of_absent_class_faults(self):
+        with pytest.raises(HardwareFault, match="no bank for class"):
+            RegisterFile([RegClass.GP]).bank(RegClass.TIMER)
+
+    def test_load_of_absent_class_faults(self):
+        regs = RegisterFile([RegClass.GP])
+        with pytest.raises(HardwareFault, match="no bank for class"):
+            regs.load(fresh_context_image([RegClass.TIMER]))
+
+    def test_load_with_missing_register_faults(self):
+        regs = RegisterFile()
+        image = regs.snapshot([RegClass.TIMER])
+        del image[RegClass.TIMER]["cntkctl_el1"]
+        with pytest.raises(HardwareFault, match="does not match"):
+            regs.load(image)
+
+    def test_load_with_extra_register_faults(self):
+        regs = RegisterFile()
+        image = regs.snapshot([RegClass.TIMER])
+        image[RegClass.TIMER]["ttbr0_el1"] = 1
+        with pytest.raises(HardwareFault, match="does not match"):
+            regs.load(image)
+        with pytest.raises(HardwareFault):
+            RegisterBank(RegClass.TIMER).load(dict(image[RegClass.TIMER]))
+
+    def test_regclass_keys_survive_pickle(self):
+        # spawned workers unpickle RegClass-keyed images and look them up
+        image = fresh_context_image()
+        image[RegClass.VGIC]["gich_hcr"] = 3
+        keys = pickle.loads(pickle.dumps(list(RegClass)))
+        assert all(key is member for key, member in zip(keys, RegClass))
+        assert [image[key] for key in keys] == list(image.values())
+        restored = pickle.loads(pickle.dumps(image))
+        assert restored[RegClass.VGIC]["gich_hcr"] == 3
+        regs = RegisterFile()
+        regs.load(restored)
+        assert regs.read(RegClass.VGIC, "gich_hcr") == 3
 
 
 class TestArmCpu:

@@ -7,6 +7,7 @@ from repro.hw.costs import arm_costs, x86_costs
 from repro.hw.mem import DmaEngine, GrantTable, Tlb, TlbShootdownModel
 from repro.hw.mem.address import GPA, HPA, PAGE_SIZE, page_of
 from repro.hw.mem.grant import grant_copy_cycles
+from repro.hw.mem import stage2
 from repro.hw.mem.stage2 import Stage2Fault, Stage2Tables, identity_map
 
 
@@ -66,6 +67,112 @@ class TestStage2:
         tables = identity_map(Stage2Tables(2), base_page=0x100, num_pages=4)
         for page in range(0x100, 0x104):
             assert tables.walk(GPA(page * PAGE_SIZE))[0].page == page
+
+
+def _reference_indices(page):
+    """The per-level table indices of ``page``, built as a list per call."""
+    indices = []
+    for level in range(stage2.LEVELS):
+        shift = stage2.BITS_PER_LEVEL * (stage2.LEVELS - 1 - level)
+        indices.append((page >> shift) & ((1 << stage2.BITS_PER_LEVEL) - 1))
+    return indices
+
+
+def _reference_map_page(root, gpa_page, hpa_page, writable=True):
+    """Reference Stage-2 insert: walk an index list with ``setdefault``."""
+    node = root
+    indices = _reference_indices(gpa_page)
+    for index in indices[:-1]:
+        node = node.setdefault(index, {})
+    node[indices[-1]] = (hpa_page, writable)
+
+
+#: (base page, page count): inside one leaf table, across a 512-page leaf
+#: boundary, across a 2^18-page mid-level boundary, and the guest-RAM premap
+STAGE2_RANGES = [
+    (0x10, 8),
+    (510, 5),
+    ((1 << 18) - 3, 7),
+    ((1 << 18) - 600, 1200),
+    (0x4_0000, 64),
+]
+
+
+class TestStage2Equivalence:
+    @pytest.mark.parametrize("base,count", STAGE2_RANGES)
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_radix_equals_reference_walk(self, base, count, writable):
+        tables = Stage2Tables(vmid=1)
+        reference = {}
+        for page in range(base, base + count):
+            tables.map_page(page, page + 0x1000, writable)
+            _reference_map_page(reference, page, page + 0x1000, writable)
+        assert tables._root == reference
+        assert tables.mapped_page_count() == count
+
+    @pytest.mark.parametrize("base,count", STAGE2_RANGES)
+    def test_identity_map_matches_reference(self, base, count):
+        tables = identity_map(Stage2Tables(vmid=1), base, count, writable=False)
+        reference = {}
+        for page in range(base, base + count):
+            _reference_map_page(reference, page, page, False)
+        assert tables._root == reference
+        assert tables.mapped_page_count() == count
+
+    def test_remapping_overwrites_in_place(self):
+        tables = Stage2Tables(vmid=1)
+        reference = {}
+        for hpa_page, writable in ((0x20, True), (0x30, False)):
+            tables.map_page(511, hpa_page, writable)
+            _reference_map_page(reference, 511, hpa_page, writable)
+        assert tables._root == reference
+        assert tables.mapped_page_count() == 1
+
+    @pytest.mark.parametrize("base,count", STAGE2_RANGES)
+    def test_walk_results_and_faults(self, base, count):
+        tables = Stage2Tables(vmid=1)
+        for page in range(base, base + count):
+            tables.map_page(page, page + 7, writable=(page % 2 == 0))
+        for page in range(base, base + count):
+            gpa = GPA(page * PAGE_SIZE + 0x2A)
+            hpa, levels = tables.walk(gpa)
+            assert (hpa, levels) == (HPA((page + 7) * PAGE_SIZE + 0x2A), stage2.LEVELS)
+            if page % 2:
+                with pytest.raises(Stage2Fault) as fault:
+                    tables.walk(gpa, write=True)
+                assert fault.value.gpa == gpa and fault.value.write is True
+            else:
+                assert tables.walk(gpa, write=True)[0] == hpa
+        end = base + count
+        for page in (base - 1, end, end + 512, end + (1 << 18)):
+            with pytest.raises(Stage2Fault) as fault:
+                tables.walk(GPA(page * PAGE_SIZE))
+            assert fault.value.write is False
+
+    def test_fault_in_present_leaf_table(self):
+        tables = Stage2Tables(vmid=1)
+        tables.map_page(512, 1)
+        tables.unmap_page(512)
+        assert tables.mapped_page_count() == 0
+        with pytest.raises(Stage2Fault):
+            tables.walk(GPA(512 * PAGE_SIZE))
+        with pytest.raises(HardwareFault, match="unmapping unmapped"):
+            tables.unmap_page(512)
+        with pytest.raises(HardwareFault, match="unmapping unmapped"):
+            tables.unmap_page(513 + (1 << 18))
+
+    @pytest.mark.parametrize("base,count", STAGE2_RANGES)
+    def test_identity_map_calls_map_page_once_per_page(self, base, count, monkeypatch):
+        calls = []
+        original = Stage2Tables.map_page
+
+        def counting(self, gpa_page, hpa_page, writable=True):
+            calls.append(gpa_page)
+            return original(self, gpa_page, hpa_page, writable)
+
+        monkeypatch.setattr(Stage2Tables, "map_page", counting)
+        identity_map(Stage2Tables(vmid=1), base, count)
+        assert calls == list(range(base, base + count))
 
 
 class TestTlb:

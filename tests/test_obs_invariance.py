@@ -9,6 +9,12 @@ Two guards:
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.core import suite
 from repro.core.microbench import MicrobenchmarkSuite
@@ -30,6 +36,33 @@ def test_full_report_byte_identical_with_obs_disabled():
         "model change, re-capture the golden hash; if you were adding "
         "observability, it leaked simulated cycles." % len(text)
     )
+
+
+_REPORT_SHA_SCRIPT = (
+    "import hashlib\n"
+    "from repro.core import suite\n"
+    "print(hashlib.sha256(suite.full_report().encode('utf-8')).hexdigest())\n"
+)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_full_report_independent_of_hash_seed(hash_seed):
+    # RegClass hashes by identity, str keys by a per-process seed: no
+    # output may depend on either, so every seed must hit the golden.
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _REPORT_SHA_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert completed.stdout.strip() == GOLDEN_FULL_REPORT_SHA256
 
 
 def test_microbench_cycles_identical_with_obs_enabled():
