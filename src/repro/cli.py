@@ -28,7 +28,6 @@ results as JSON alongside the rendered table.
 
 import argparse
 import json
-import os
 import sys
 
 from repro.core import reporting, suite
@@ -134,10 +133,6 @@ def _cmd_bench(args):
 
     if args.cache_verify:
         return _cmd_cache_verify(args, runner_bench)
-    if args.no_fastpath:
-        # Environment, not a parameter: worker processes must inherit
-        # the setting so every cell interprets step by step.
-        os.environ["REPRO_FASTPATH"] = "0"
     try:
         if args.resume is not None:
             if args.no_cache:
@@ -477,13 +472,6 @@ def build_parser():
         help="ignore and do not write the content-addressed result cache",
     )
     bench.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable the compiled world-switch fast lane (sets "
-        "REPRO_FASTPATH=0 for this run and its workers); results are "
-        "byte-identical either way, only wall time changes",
-    )
-    bench.add_argument(
         "--cache-dir",
         default=runner_bench.DEFAULT_CACHE_DIR,
         metavar="PATH",
@@ -509,7 +497,7 @@ def build_parser():
         default=None,
         metavar="PATH",
         help="append this run's scoreboard line (wall clock, cells/s, cache "
-        "hit rate, fastpath counters) to a JSONL history file; CI uses "
+        "hit rate) to a JSONL history file; CI uses "
         "BENCH_history.jsonl to track the throughput trajectory",
     )
     bench.add_argument(

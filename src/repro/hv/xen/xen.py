@@ -57,18 +57,6 @@ class XenHypervisor(Hypervisor):
             pcpu.irq_handler = self._irq_handler
             pcpu.current_context = IDLE
             pcpu.xen_idle_context = fresh_context_image()
-        # Fast-lane sites (see repro.sim.fastpath): the hypercall round
-        # trip is nothing but the light entry/return pair.
-        entry_id = "hv/xen/xen.py::XenHypervisor._xen_entry"
-        return_id = "hv/xen/xen.py::XenHypervisor._xen_return"
-        fastlane = machine.fastlane
-        self._fast_hypercall = fastlane.site(
-            "xen.hypercall", (entry_id, return_id)
-        )
-        self._fast_intc = fastlane.site(
-            "xen.intc_trap",
-            (entry_id, "hv/xen/xen.py::XenHypervisor._intc_path", return_id),
-        )
 
     # --- domain lifecycle ------------------------------------------------
 
@@ -246,7 +234,7 @@ class XenHypervisor(Hypervisor):
 
     def run_hypercall(self, vcpu):
         """Row 1: on ARM, little more than a GP push/pop in EL2."""
-        return self._fast_hypercall.run(vcpu, self._hypercall_path)
+        return self._hypercall_path(vcpu)
 
     def _hypercall_path(self, vcpu):
         span = self.machine.obs.spans.begin("hypercall", "operation", vcpu.pcpu.index)
@@ -256,7 +244,7 @@ class XenHypervisor(Hypervisor):
 
     def run_intc_trap(self, vcpu):
         """Row 2: the distributor is emulated *in EL2* — no host round trip."""
-        return self._fast_intc.run(vcpu, self._intc_path)
+        return self._intc_path(vcpu)
 
     def _intc_path(self, vcpu):
         if self.machine.is_arm:

@@ -389,10 +389,10 @@ def overriding(document):
     """Install a what-if override document for the duration of a block.
 
     Every :func:`arm_costs` / :func:`x86_costs` call inside the block —
-    testbed construction, cache-key derivation, fast-lane cost
-    re-resolution — sees the overridden primitives; the previous state
-    is restored on exit even if the block raises.  Documents do not
-    merge: nesting replaces the outer document wholesale.
+    testbed construction, cache-key derivation — sees the overridden
+    primitives; the previous state is restored on exit even if the
+    block raises.  Documents do not merge: nesting replaces the outer
+    document wholesale.
     """
     global _ACTIVE_OVERRIDES
     previous = _ACTIVE_OVERRIDES

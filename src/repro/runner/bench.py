@@ -28,24 +28,9 @@ Document schema (``tools/validate_bench.py`` is the CI check):
         "corrupt_payloads": 0, "degraded": 0, "failed": 0, "quarantined": 0,
         "swept_tmp": 0
       },
-      "perf": {
-        "fastpath": {"enabled": true, "hits": 120, "misses": 0,
-                     "recordings": 10, "rejects": 0, "hit_rate": 0.92},
-        "probe": {"ops": 20000,
-                  "interp": {"wall_s": 0.8, "cycles": 65316325,
-                             "cycles_per_sec": 81645406.0},
-                  "fast": {"wall_s": 0.1, "cycles": 65316325,
-                           "cycles_per_sec": 653163250.0},
-                  "speedup": 8.0, "cycles_equal": true}
-      },
       "failed_cells": [],
       "report_sha256": "..."
     }
-
-The ``perf`` block is the fast lane's scoreboard: aggregated lane
-counters over every freshly-run cell (cache hits contribute nothing —
-the lane never enters the cache key) plus a warm-lane throughput probe.
-CI gates on ``probe.cycles_equal`` and ``probe.speedup``.
 
 ``failed_cells`` is present only when ``--keep-going`` swallowed
 failures; the report then carries explicit section-omission markers and
@@ -68,9 +53,6 @@ from repro.runner.resilience import RetryPolicy
 BENCH_SCHEMA = "repro-bench/1"
 DEFAULT_CACHE_DIR = ".repro-cache"
 DEFAULT_DOCUMENT_PATH = "BENCH_suite.json"
-
-#: hypercall round trips per mode in the warm-lane throughput probe
-PROBE_OPS = 20000
 
 
 @dataclasses.dataclass
@@ -140,7 +122,6 @@ def run_bench(
     use_cache=True,
     transactions=cells.DEFAULT_RR_TRANSACTIONS,
     policy=None,
-    probe_ops=None,
     run_id=None,
 ):
     """Run the bench grid; returns a :class:`BenchOutcome`.
@@ -180,13 +161,8 @@ def run_bench(
         report = merge.full_report_text(
             outcome.results, transactions, partial=bool(outcome.failures)
         )
-        if probe_ops is None:
-            # test seam: REPRO_BENCH_PROBE_OPS shrinks the probe where wall
-            # time matters more than a stable speedup figure
-            probe_ops = int(os.environ.get("REPRO_BENCH_PROBE_OPS", PROBE_OPS))
-        perf = _perf_block(outcome, probe_ops)
         document = _build_document(
-            outcome, jobs, policy, cache, cache_dir, wall_ms, report, perf
+            outcome, jobs, policy, cache, cache_dir, wall_ms, report
         )
         if journal is not None:
             document["journal"] = {
@@ -213,7 +189,6 @@ def resume_bench(
     jobs=None,
     cache_dir=DEFAULT_CACHE_DIR,
     policy=None,
-    probe_ops=None,
 ):
     """``bench --resume``: pick up an interrupted journaled run.
 
@@ -278,11 +253,8 @@ def resume_bench(
         report = merge.full_report_text(
             outcome.results, transactions, partial=bool(outcome.failures)
         )
-        if probe_ops is None:
-            probe_ops = int(os.environ.get("REPRO_BENCH_PROBE_OPS", PROBE_OPS))
-        perf = _perf_block(outcome, probe_ops)
         document = _build_document(
-            outcome, jobs, policy, cache, cache_dir, wall_ms, report, perf
+            outcome, jobs, policy, cache, cache_dir, wall_ms, report
         )
         document["journal"] = {
             "run_id": journal.run_id,
@@ -300,64 +272,7 @@ def resume_bench(
     return BenchOutcome(report=report, document=document)
 
 
-def _fastlane_probe(ops):
-    """Warm-lane throughput: the same hypercall storm, lane on vs off.
-
-    The probe forces the lane state explicitly (independent of
-    ``REPRO_FASTPATH``) so the fastpath-off CI run still measures — and
-    gates on — the same speedup.  ``cycles`` must be identical in both
-    modes; ``wall_s`` is host time, legitimate here because it measures
-    the runner's own throughput, never the model.
-    """
-    from repro.core.testbed import build_testbed
-
-    modes = {}
-    for mode in ("interp", "fast"):
-        bed = build_testbed("kvm-arm")
-        bed.machine.fastlane.enabled = mode == "fast"
-        hv = bed.hypervisor
-        vcpu = bed.vm.vcpu(0)
-        hv.install_guest(vcpu)
-        engine = bed.engine
-        start = time.perf_counter()
-        for _ in range(ops):
-            engine.spawn(hv.run_hypercall(vcpu), "probe")
-            engine.run()
-        wall_s = time.perf_counter() - start
-        modes[mode] = {
-            "wall_s": wall_s,
-            "cycles": engine.now,
-            "cycles_per_sec": engine.now / wall_s if wall_s > 0 else 0.0,
-        }
-    interp, fast = modes["interp"], modes["fast"]
-    return {
-        "ops": ops,
-        "interp": interp,
-        "fast": fast,
-        "speedup": interp["wall_s"] / fast["wall_s"] if fast["wall_s"] > 0 else 0.0,
-        "cycles_equal": interp["cycles"] == fast["cycles"],
-    }
-
-
-def _perf_block(outcome, probe_ops):
-    from repro.sim.fastpath import fastpath_enabled
-
-    lane = {"hits": 0, "misses": 0, "recordings": 0, "rejects": 0}
-    for result in outcome.results.values():
-        for name, count in result.fastpath.items():
-            lane[name] = lane.get(name, 0) + count
-    attempts = sum(lane.values())
-    return {
-        "fastpath": dict(
-            lane,
-            enabled=fastpath_enabled(),
-            hit_rate=lane["hits"] / attempts if attempts else 0.0,
-        ),
-        "probe": _fastlane_probe(probe_ops),
-    }
-
-
-def _build_document(outcome, jobs, policy, cache, cache_dir, wall_ms, report, perf):
+def _build_document(outcome, jobs, policy, cache, cache_dir, wall_ms, report):
     cell_rows = [
         {
             "id": result.spec.id,
@@ -411,7 +326,6 @@ def _build_document(outcome, jobs, policy, cache, cache_dir, wall_ms, report, pe
                 else 0.0
             ),
         ),
-        "perf": perf,
         "report_sha256": hashlib.sha256(report.encode("utf-8")).hexdigest(),
     }
     if outcome.failures:
@@ -447,7 +361,6 @@ def history_line(document):
     across runs without carrying per-cell payloads.
     """
     resilience = document["resilience"]
-    fastpath = document["perf"]["fastpath"]
     return {
         "schema": HISTORY_SCHEMA,
         "report_sha256": document["report_sha256"],
@@ -456,8 +369,6 @@ def history_line(document):
         "wall_clock_s": resilience["wall_clock_s"],
         "cells_per_second": resilience["cells_per_second"],
         "cache_hit_rate": resilience["cache_hit_rate"],
-        "fastpath_enabled": fastpath["enabled"],
-        "fastpath_hits": fastpath["hits"],
         "partial": bool(document.get("partial", False)),
     }
 

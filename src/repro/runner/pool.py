@@ -103,9 +103,6 @@ class CellResult:
     payload_sha256: str = ""
     attempts: int = 1
     degraded: bool = False
-    #: aggregated fast-lane counters over the cell's engines (empty for
-    #: cache hits — the lane never enters the cache key or the payload)
-    fastpath: dict = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass
@@ -155,13 +152,6 @@ def execute_cell(spec, attempt=0):
         sum(engine.now for engine in created)
     )
     metrics.gauge("runner.cell.wall_ms").set((time.perf_counter() - start) * 1000.0)
-    fastpath = {}
-    for engine in created:
-        lane = getattr(engine, "fastlane", None)
-        if lane is None:
-            continue
-        for name, count in lane.snapshot().items():
-            fastpath[name] = fastpath.get(name, 0) + count
     # Round-trip through JSON so a freshly simulated payload is
     # structurally identical to one loaded from the cache.
     payload = json.loads(json.dumps(payload))
@@ -173,7 +163,6 @@ def execute_cell(spec, attempt=0):
         engines=metrics.get("runner.cell.engines").value,
         source="run",
         payload_sha256=resilience.payload_digest(payload),
-        fastpath=fastpath,
     )
     if faults.corrupts_payload(spec.id, attempt):
         # chaos hook: scribble *after* the digest so the parent's

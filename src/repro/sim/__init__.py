@@ -13,7 +13,6 @@ sequence number), which the measurement framework relies on.
 
 from repro.sim.engine import Engine
 from repro.sim.events import AllOf, AnyOf, SimEvent, Timeout
-from repro.sim.fastpath import FastLane, FastSite, fastpath_enabled
 from repro.sim.process import Process
 from repro.sim.channel import Channel
 from repro.sim.clock import Clock
@@ -27,13 +26,10 @@ __all__ = [
     "Clock",
     "DeterministicRng",
     "Engine",
-    "FastLane",
-    "FastSite",
     "Process",
     "SimEvent",
     "Step",
     "StepTrace",
     "Timeout",
     "Tracer",
-    "fastpath_enabled",
 ]

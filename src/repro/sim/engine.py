@@ -33,9 +33,6 @@ class Engine:
         self._queue = []  # heap of (time, seq, callable)
         self._seq = 0
         self._processes = []
-        #: absolute stop time of the innermost active run()/run_until_fired()
-        #: loop; fast_advance must never jump the clock past it.
-        self._horizon = None
         #: optional observability hook (see repro.obs): when set, its
         #: ``process_resumed(process)`` is called on every process resume.
         self.observer = None
@@ -157,28 +154,24 @@ class Engine:
         Stops when the queue is empty, or when simulation time would pass
         ``until`` (the clock then rests exactly at ``until``).
         """
-        try:
-            self._horizon = until
-            while self._queue:
-                time, key, callback = self._queue[0]
-                if until is not None and time > until:
-                    self._now = until
-                    return
-                heapq.heappop(self._queue)
-                if time < self._now:
-                    raise SimulationError(
-                        "time went backwards: %d < %d" % (time, self._now)
-                    )
-                self._now = time
-                if Engine.sanitizer is not None:
-                    Engine.sanitizer.on_fire(self, time, key)
-                callback()
-            if until is not None and until > self._now:
+        while self._queue:
+            time, key, callback = self._queue[0]
+            if until is not None and time > until:
                 self._now = until
-        finally:
-            self._horizon = None
+                return
+            heapq.heappop(self._queue)
+            if time < self._now:
+                raise SimulationError(
+                    "time went backwards: %d < %d" % (time, self._now)
+                )
+            self._now = time
+            if Engine.sanitizer is not None:
+                Engine.sanitizer.on_fire(self, time, key)
+            callback()
+        if until is not None and until > self._now:
+            self._now = until
 
-    def run_until_fired(self, event, deadline=None, limit=None):
+    def run_until_fired(self, event, deadline=None):
         """Run until ``event`` fires; returns its value.
 
         ``deadline`` is an *absolute* simulation time: once the next queued
@@ -186,69 +179,25 @@ class Engine:
         (the queue stays intact so the caller can recover or inspect).  It
         is not a relative cycle budget — an engine whose ``now`` is already
         at 1e9 needs a deadline past 1e9, not a small count.
-
-        ``limit`` is a deprecated alias for ``deadline`` kept for older
-        callers (it always had these absolute semantics despite being
-        documented as a relative cycle count); passing both is an error.
         """
-        if deadline is None:
-            deadline = limit
-        elif limit is not None:
-            raise SimulationError("pass either deadline= or limit=, not both")
-        try:
-            self._horizon = deadline
-            while self._queue and not event.fired:
-                time, key, callback = self._queue[0]
-                if deadline is not None and time > deadline:
-                    # Peek, don't pop: the queue must stay intact so the
-                    # caller can recover (or inspect) after the deadline.
-                    raise SimulationError(
-                        "event %r did not fire by absolute deadline %d (now=%d)"
-                        % (event.name, deadline, self._now)
-                    )
-                if time < self._now:
-                    raise SimulationError(
-                        "time went backwards: %d < %d" % (time, self._now)
-                    )
-                heapq.heappop(self._queue)
-                self._now = time
-                if Engine.sanitizer is not None:
-                    Engine.sanitizer.on_fire(self, time, key)
-                callback()
-        finally:
-            self._horizon = None
+        while self._queue and not event.fired:
+            time, key, callback = self._queue[0]
+            if deadline is not None and time > deadline:
+                # Peek, don't pop: the queue must stay intact so the
+                # caller can recover (or inspect) after the deadline.
+                raise SimulationError(
+                    "event %r did not fire by absolute deadline %d (now=%d)"
+                    % (event.name, deadline, self._now)
+                )
+            if time < self._now:
+                raise SimulationError(
+                    "time went backwards: %d < %d" % (time, self._now)
+                )
+            heapq.heappop(self._queue)
+            self._now = time
+            if Engine.sanitizer is not None:
+                Engine.sanitizer.on_fire(self, time, key)
+            callback()
         if not event.fired:
             raise SimulationError("deadlock: queue drained before %r fired" % (event.name,))
         return event.value
-
-    # --- compiled fast lane (see repro.sim.fastpath) ----------------------
-
-    def can_fast_advance(self, delta):
-        """True when the clock may jump ``delta`` cycles without dispatching.
-
-        The jump is only sound when no queued event would have run inside
-        the window (strictly: any event at or before ``now + delta`` must
-        run first — an equal-time foreign event could interleave with the
-        replayed path under interpretation) and when the jump cannot
-        overshoot an active ``run(until=)``/``run_until_fired(deadline=)``
-        horizon.
-        """
-        target = self._now + delta
-        if self._queue and self._queue[0][0] <= target:
-            return False
-        if self._horizon is not None and target > self._horizon:
-            return False
-        return True
-
-    def fast_advance(self, delta):
-        """Atomically advance the clock by a compiled ``delta`` of cycles."""
-        if not isinstance(delta, int) or delta < 0:
-            raise SimulationError(
-                "fast_advance delta must be a non-negative int, got %r" % (delta,)
-            )
-        if not self.can_fast_advance(delta):
-            raise SimulationError(
-                "fast_advance(%d) would cross a queued event or the run horizon"
-                % delta
-            )
-        self._now += delta

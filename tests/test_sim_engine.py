@@ -227,7 +227,7 @@ def test_run_until_fired_limit_enforced():
     event = engine.event()
     engine.schedule(1000, lambda: event.fire())
     with pytest.raises(SimulationError):
-        engine.run_until_fired(event, limit=100)
+        engine.run_until_fired(event, deadline=100)
 
 
 def test_zero_timeout_lets_same_time_events_interleave():
@@ -265,8 +265,8 @@ def test_run_until_fired_limit_leaves_queue_intact():
     event = engine.event("late")
     engine.schedule(1000, lambda: event.fire("finally"))
     with pytest.raises(SimulationError):
-        engine.run_until_fired(event, limit=100)
-    # The over-limit entry was peeked, not popped: the caller can recover.
+        engine.run_until_fired(event, deadline=100)
+    # The over-deadline entry was peeked, not popped: the caller can recover.
     assert engine.run_until_fired(event) == "finally"
     assert engine.now == 1000
 
@@ -527,64 +527,3 @@ def test_run_until_fired_deadline_is_absolute_not_relative():
     # Recovery with a real absolute deadline past `now`.
     assert engine.run_until_fired(event, deadline=2000) == "v"
     assert engine.now == 1100
-
-
-def test_run_until_fired_rejects_deadline_and_limit_together():
-    engine = Engine()
-    event = engine.event()
-    engine.schedule(1, lambda: event.fire())
-    with pytest.raises(SimulationError):
-        engine.run_until_fired(event, deadline=10, limit=10)
-
-
-def test_run_until_fired_limit_alias_still_accepted():
-    engine = Engine()
-    event = engine.event()
-    engine.schedule(5, lambda: event.fire("aliased"))
-    assert engine.run_until_fired(event, limit=100) == "aliased"
-
-
-# --- fast_advance / can_fast_advance -------------------------------------
-
-
-def test_fast_advance_jumps_clock_atomically():
-    engine = Engine()
-    assert engine.can_fast_advance(500)
-    engine.fast_advance(500)
-    assert engine.now == 500
-
-
-def test_fast_advance_refuses_to_cross_queued_event():
-    engine = Engine()
-    engine.schedule(100, lambda: None)
-    assert not engine.can_fast_advance(100)  # equal-time event must run
-    assert not engine.can_fast_advance(150)
-    assert engine.can_fast_advance(99)
-    with pytest.raises(SimulationError):
-        engine.fast_advance(100)
-
-
-def test_fast_advance_respects_run_horizon():
-    engine = Engine()
-    observed = []
-
-    def proc():
-        observed.append(engine.can_fast_advance(50))
-        observed.append(engine.can_fast_advance(51))
-        yield Timeout(0)
-
-    engine.spawn(proc())
-    engine.run(until=50)
-    # Inside run(until=50) a 50-cycle jump from t=0 is allowed (lands on
-    # the horizon) but 51 would overshoot it.
-    assert observed == [True, False]
-    # Outside any run loop the horizon is gone.
-    assert engine.can_fast_advance(10**9)
-
-
-def test_fast_advance_rejects_bad_delta():
-    engine = Engine()
-    with pytest.raises(SimulationError):
-        engine.fast_advance(-1)
-    with pytest.raises(SimulationError):
-        engine.fast_advance(1.5)

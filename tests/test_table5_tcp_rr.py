@@ -105,6 +105,15 @@ class TestHarness:
         )
         assert total == pytest.approx(result.recv_to_send_us, rel=1e-6)
 
+    @pytest.mark.parametrize("key", ["kvm-arm", "kvm-x86"])
+    def test_kvm_runs_past_one_rx_ring_of_transactions(self, key):
+        """More transactions than the 256-entry virtio rx ring holds: the
+        guest driver must reap the used ring or the run dies mid-way."""
+        testbed = build_testbed(key)
+        result = TcpRrBenchmark(testbed, transactions=300).run()
+        assert testbed.client_nic.rx_packets == 300
+        assert result.trans_per_sec > 0
+
     def test_more_transactions_refine_but_agree(self):
         short = TcpRrBenchmark(build_testbed("xen-arm"), transactions=5).run()
         long = TcpRrBenchmark(build_testbed("xen-arm"), transactions=20).run()

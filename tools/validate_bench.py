@@ -10,18 +10,15 @@ agree with the per-cell rows, and a 64-hex ``report_sha256``.
 
 Optional sections added by the fault-tolerant runner are validated when
 present: a ``resilience`` block (non-negative counters plus the retry
-policy), a ``perf`` block (fast-lane counters with an in-range hit rate
-plus a throughput probe whose ``cycles_equal`` must be true), per-cell
-``attempts``/``degraded`` fields, and — under ``--keep-going`` — a
-``partial`` flag and a ``failed_cells`` list whose entries carry
-id/kind/params and per-attempt failure records.
+policy), per-cell ``attempts``/``degraded`` fields, and — under
+``--keep-going`` — a ``partial`` flag and a ``failed_cells`` list whose
+entries carry id/kind/params and per-attempt failure records.
 
 With ``--history`` the arguments are ``repro-bench-history/1`` JSONL
 scoreboard files instead (one line per run, appended by
 ``python -m repro bench --history PATH``): every line must carry the
 schema tag, a 64-hex ``report_sha256``, positive ``jobs``/``cells``,
-the scoreboard throughput figures, the fastpath counters and a
-``partial`` flag.
+the scoreboard throughput figures and a ``partial`` flag.
 
 Usage:
     python tools/validate_bench.py BENCH_suite.json [more.json ...]
@@ -128,7 +125,6 @@ def validate(path):
             )
 
     problems.extend(_validate_resilience(path, document))
-    problems.extend(_validate_perf(path, document))
     problems.extend(_validate_journal(path, document))
     problems.extend(_validate_failed_cells(path, document))
 
@@ -183,66 +179,6 @@ def _validate_resilience(path, document):
                 "%s: resilience.policy.keep_going=%r is not a bool"
                 % (path, policy.get("keep_going"))
             )
-    return problems
-
-
-def _validate_perf(path, document):
-    """Problems in the optional ``perf`` block (fast-lane scoreboard)."""
-    if "perf" not in document:
-        return []
-    problems = []
-    perf = document["perf"]
-    if not isinstance(perf, dict):
-        return ["%s: perf is not an object" % path]
-    lane = perf.get("fastpath")
-    if not isinstance(lane, dict):
-        problems.append("%s: perf.fastpath is not an object" % path)
-    else:
-        if not isinstance(lane.get("enabled"), bool):
-            problems.append("%s: perf.fastpath.enabled is not a bool" % path)
-        for key in ("hits", "misses", "recordings", "rejects"):
-            if not _is_nonneg_int(lane.get(key)):
-                problems.append(
-                    "%s: perf.fastpath.%s=%r is not a non-negative int"
-                    % (path, key, lane.get(key))
-                )
-        hit_rate = lane.get("hit_rate")
-        if not (_is_nonneg_number(hit_rate) and hit_rate <= 1.0):
-            problems.append(
-                "%s: perf.fastpath.hit_rate=%r is not in [0, 1]" % (path, hit_rate)
-            )
-    probe = perf.get("probe")
-    if not isinstance(probe, dict):
-        problems.append("%s: perf.probe is not an object" % path)
-        return problems
-    if not (_is_nonneg_int(probe.get("ops")) and probe.get("ops", 0) >= 1):
-        problems.append("%s: perf.probe.ops=%r is not a positive int" % (path, probe.get("ops")))
-    for mode in ("interp", "fast"):
-        block = probe.get(mode)
-        if not isinstance(block, dict):
-            problems.append("%s: perf.probe.%s is not an object" % (path, mode))
-            continue
-        if not _is_nonneg_number(block.get("wall_s")):
-            problems.append(
-                "%s: perf.probe.%s.wall_s=%r is not a non-negative number"
-                % (path, mode, block.get("wall_s"))
-            )
-        if not _is_nonneg_int(block.get("cycles")):
-            problems.append(
-                "%s: perf.probe.%s.cycles=%r is not a non-negative int"
-                % (path, mode, block.get("cycles"))
-            )
-        if not _is_nonneg_number(block.get("cycles_per_sec")):
-            problems.append(
-                "%s: perf.probe.%s.cycles_per_sec=%r is not a non-negative number"
-                % (path, mode, block.get("cycles_per_sec"))
-            )
-    if not _is_nonneg_number(probe.get("speedup")):
-        problems.append("%s: perf.probe.speedup=%r is not a non-negative number" % (path, probe.get("speedup")))
-    if not isinstance(probe.get("cycles_equal"), bool):
-        problems.append("%s: perf.probe.cycles_equal=%r is not a bool" % (path, probe.get("cycles_equal")))
-    elif probe["cycles_equal"] is not True:
-        problems.append("%s: perf.probe.cycles_equal is false — fast lane diverged" % path)
     return problems
 
 
@@ -367,13 +303,6 @@ def validate_history(path):
         rate = row.get("cache_hit_rate")
         if _is_nonneg_number(rate) and rate > 1:
             problems.append("%s: cache_hit_rate=%r is outside [0, 1]" % (where, rate))
-        if not isinstance(row.get("fastpath_enabled"), bool):
-            problems.append("%s: fastpath_enabled must be a boolean" % where)
-        if not _is_nonneg_int(row.get("fastpath_hits")):
-            problems.append(
-                "%s: fastpath_hits=%r must be a non-negative integer"
-                % (where, row.get("fastpath_hits"))
-            )
         if not isinstance(row.get("partial"), bool):
             problems.append("%s: partial must be a boolean" % where)
     return problems
