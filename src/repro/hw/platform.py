@@ -89,8 +89,10 @@ class Pcpu:
         When observability is enabled the step is also recorded as a leaf
         span at the current engine time (see :mod:`repro.obs`).
         """
-        self.machine.tracer.record(label, cycles, category, pcpu=self.index)
-        spans = self.machine.obs.spans
+        machine = self.machine
+        if machine.tracer.enabled:
+            machine.tracer.record(label, cycles, category, pcpu=self.index)
+        spans = machine.obs.spans
         if spans.enabled:
             spans.step(label, cycles, category, pcpu=self.index)
         return Timeout(cycles)

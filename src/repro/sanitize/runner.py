@@ -1,7 +1,7 @@
 """The sanitize runner: dual-schedule execution of report cells.
 
 Every target cell is executed twice under :class:`SimSan` — once with
-the production FIFO tie-break and once with the tie-break inverted —
+the heap-path FIFO tie-break and once with the tie-break inverted —
 and the two JSON payloads are hashed.  A payload that survives
 inversion byte-identical has no observable tie-order dependence; a
 mismatch is a race, anchored at the first fire where the two schedules

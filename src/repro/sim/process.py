@@ -11,7 +11,15 @@ class Process:
     the process is *done* and joiners are woken with its return value.
     """
 
-    __slots__ = ("engine", "name", "_generator", "_done", "_result", "_joiners")
+    __slots__ = (
+        "engine",
+        "name",
+        "_generator",
+        "_done",
+        "_result",
+        "_joiners",
+        "__weakref__",
+    )
 
     def __init__(self, engine, generator, name=""):
         self.engine = engine
@@ -32,18 +40,28 @@ class Process:
         return self._result
 
     def resume(self, value):
-        """Advance the generator with ``value``; dispatch the next command."""
+        """Advance the generator with ``value``; dispatch the next command.
+
+        While the engine resumes a yielded Timeout in place (it was the
+        running loop's next event, see :meth:`Engine.dispatch`), keep
+        sending here instead of returning through the heap.
+        """
         if self._done:
             return
-        observer = self.engine.observer
-        if observer is not None:
-            observer.process_resumed(self)
-        try:
-            command = self._generator.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        self.engine.dispatch(self, command)
+        engine = self.engine
+        send = self._generator.send
+        while True:
+            observer = engine.observer
+            if observer is not None:
+                observer.process_resumed(self)
+            try:
+                command = send(value)
+            except StopIteration as stop:
+                self._finish(stop.value)
+                return
+            if not engine.dispatch(self, command):
+                return
+            value = None
 
     def add_join_waiter(self, process):
         if self._done:

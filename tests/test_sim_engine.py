@@ -527,3 +527,212 @@ def test_run_until_fired_deadline_is_absolute_not_relative():
     # Recovery with a real absolute deadline past `now`.
     assert engine.run_until_fired(event, deadline=2000) == "v"
     assert engine.now == 1100
+
+
+# --- in-place resume: a Timeout that is the loop's next event ------------
+
+
+class _ResumeCounter:
+    """An ``Engine.observer`` counting ``process_resumed`` calls."""
+
+    def __init__(self):
+        self.resumes = 0
+
+    def process_resumed(self, _process):
+        self.resumes += 1
+
+
+def _chain(engine, seen, delays):
+    for delay in delays:
+        yield Timeout(delay)
+        seen.append(engine.now)
+
+
+def test_in_place_chain_skips_the_heap_but_counts_seq():
+    engine = Engine()
+    seen = []
+    engine.spawn(_chain(engine, seen, [3, 4, 5]))
+    pushed = []
+    schedule = engine.schedule
+    engine.schedule = lambda delay, callback: pushed.append(delay) or schedule(delay, callback)
+    engine.run()
+    assert seen == [3, 7, 12]
+    assert pushed == []  # every Timeout was the next event
+    assert engine._seq == 4  # the spawn plus one per Timeout, as on the heap
+
+
+def test_in_place_chain_crossing_until_stops_at_until_with_resume_queued():
+    engine = Engine()
+    seen = []
+    engine.spawn(_chain(engine, seen, [10, 10, 10]))
+    engine.run(until=25)
+    assert seen == [10, 20]
+    assert engine.now == 25
+    assert [entry[0] for entry in engine._queue] == [30]
+    engine.run()
+    assert seen == [10, 20, 30]
+
+
+def test_in_place_chain_ending_exactly_at_until_runs_it():
+    engine = Engine()
+    seen = []
+    engine.spawn(_chain(engine, seen, [10, 10]))
+    engine.run(until=20)
+    assert seen == [10, 20]
+    assert engine.now == 20 and not engine._queue
+
+
+def test_run_until_fired_stops_at_the_fire_time_mid_chain():
+    engine = Engine()
+    event = engine.event("mid")
+    seen = []
+
+    def proc():
+        for step in range(5):
+            yield Timeout(10)
+            seen.append(engine.now)
+            if step == 1:
+                event.fire("at20")
+
+    engine.spawn(proc())
+    assert engine.run_until_fired(event) == "at20"
+    assert engine.now == 20
+    assert seen == [10, 20]
+    assert [entry[0] for entry in engine._queue] == [30]
+
+
+def test_in_place_chain_past_deadline_raises_with_queue_intact():
+    engine = Engine()
+    event = engine.event("never")
+    seen = []
+    engine.spawn(_chain(engine, seen, [10, 10, 10]))
+    with pytest.raises(SimulationError, match="deadline 25"):
+        engine.run_until_fired(event, deadline=25)
+    assert seen == [10, 20]
+    assert engine.now == 20
+    assert [entry[0] for entry in engine._queue] == [30]
+
+
+def test_same_cycle_tie_with_earlier_entry_goes_through_the_heap():
+    engine = Engine()
+    order = []
+
+    def proc():
+        yield Timeout(5)
+        order.append(("proc", engine.now))
+
+    engine.spawn(proc())
+    engine.schedule(5, lambda: order.append(("callback", engine.now)))
+    engine.run()
+    # The callback was queued for cycle 5 first: FIFO puts it ahead.
+    assert order == [("callback", 5), ("proc", 5)]
+
+
+def test_strictly_earlier_entry_runs_before_the_in_place_chain_continues():
+    engine = Engine()
+    order = []
+    engine.spawn(_chain(engine, order, [5, 5]))
+    engine.schedule(7, lambda: order.append("cb@%d" % engine.now))
+    engine.run()
+    assert order == [5, "cb@7", 10]
+
+
+def test_observer_counts_each_resume_on_both_paths():
+    from repro.sanitize.simsan import SimSan
+
+    def count(sanitized):
+        engine = Engine()
+        engine.observer = _ResumeCounter()
+        seen = []
+        engine.spawn(_chain(engine, seen, [1, 2, 0, 3]))
+        engine.spawn(_chain(engine, seen, [2, 2]))
+        Engine.sanitizer = SimSan() if sanitized else None
+        try:
+            engine.run()
+        finally:
+            Engine.sanitizer = None
+        return engine.observer.resumes, seen, engine.now, engine._seq
+
+    # 5 sends for the 4-Timeout chain, 3 for the 2-Timeout chain
+    assert count(False) == count(True)
+    assert count(False)[0] == 8
+
+
+def test_a_sanitizer_sends_every_timeout_through_the_heap():
+    from repro.sanitize.simsan import SimSan
+
+    engine = Engine()
+    seen = []
+    engine.spawn(_chain(engine, seen, [3, 4, 5]))
+    san = SimSan()
+    Engine.sanitizer = san
+    try:
+        engine.run()
+    finally:
+        Engine.sanitizer = None
+    assert seen == [3, 7, 12]
+    # one fire per schedule: the spawn and each Timeout
+    assert [fire[1] for fire in san.trace] == [0, 3, 7, 12]
+    assert engine._seq == 4
+
+
+def test_nested_run_restores_the_outer_bound_and_target():
+    engine = Engine()
+    event = engine.event("outer")
+    bounds = []
+
+    def nester():
+        yield Timeout(1)
+        engine.run(until=engine.now + 5)
+        bounds.append((engine._bound, engine._target))
+        yield Timeout(1)
+        event.fire("done")
+
+    def watcher():
+        yield Timeout(2)  # resumed by the nested run(until=6)
+        bounds.append((engine._bound, engine._target))
+
+    engine.spawn(nester())
+    engine.spawn(watcher())
+    assert engine.run_until_fired(event, deadline=100) == "done"
+    assert bounds == [(6, None), (100, event)]
+    assert (engine._bound, engine._target) == (-1, None)
+
+
+def test_loop_bound_is_restored_when_a_process_raises():
+    engine = Engine()
+
+    def broken():
+        yield Timeout(3)
+        raise RuntimeError("model bug")
+
+    engine.spawn(broken())
+    with pytest.raises(RuntimeError):
+        engine.run(until=50)
+    assert (engine._bound, engine._target) == (-1, None)
+    assert engine.now == 3
+
+
+def test_resume_outside_any_loop_never_advances_the_clock():
+    engine = Engine()
+    seen = []
+    process = engine.spawn(_chain(engine, seen, [4, 4]))
+    engine._queue.clear()  # drive the process by hand, not through run()
+    process.resume(None)
+    assert engine.now == 0
+    assert seen == []
+    assert [entry[0] for entry in engine._queue] == [4]
+
+
+def test_finished_process_is_collectable_while_its_engine_lives():
+    import gc
+    import weakref
+
+    engine = Engine()
+    process = engine.spawn(_chain(engine, [], [1, 2]))
+    ref = weakref.ref(process)
+    del process
+    engine.run()
+    gc.collect()
+    assert ref() is None
+    assert engine.now == 3
