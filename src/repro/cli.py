@@ -24,18 +24,34 @@ Usage:
 
 Table commands accept ``--emit-json PATH`` to write the underlying
 results as JSON alongside the rendered table.
+
+Importing this module loads only argparse, json and the dependency-free
+constants the parser shows (:mod:`repro.constants`,
+:mod:`repro.paperdata`); each command imports what it runs, so
+``figures`` never loads the simulator and ``query`` never loads the
+runner (DESIGN.md "Import layering").
 """
 
 import argparse
 import json
 import sys
 
-from repro.core import reporting, suite
-from repro.core.microbench import MicrobenchmarkSuite
-from repro.core.testbed import ALL_KEYS, build_testbed
+from repro import constants
+from repro.paperdata import ALL_KEYS
+
+
+def _suite():
+    """The report entry points (importing them loads the simulator)."""
+    from repro.core import suite
+
+    return suite
 
 
 def _cmd_micro(args):
+    from repro.core import reporting
+    from repro.core.microbench import MicrobenchmarkSuite
+    from repro.core.testbed import build_testbed
+
     results = MicrobenchmarkSuite(build_testbed(args.platform)).run_all()
     rows = [[name, "%d" % cycles] for name, cycles in results.items()]
     print(
@@ -48,6 +64,8 @@ def _cmd_micro(args):
 
 
 def _cmd_figures(_args):
+    from repro.core import reporting
+
     for name in ("figure1", "figure2", "figure3", "figure5"):
         print(reporting.describe_architecture(name))
         print()
@@ -343,12 +361,12 @@ def _positive_float(text):
 
 #: table commands with a JSON-serializable ``suite.*_data`` twin
 DATA_FUNCS = {
-    "table2": lambda args: suite.table2_data(),
-    "table3": lambda args: suite.table3_data(),
-    "table5": lambda args: suite.table5_data(args.transactions),
-    "figure4": lambda args: suite.figure4_data(),
-    "ablation": lambda args: suite.ablation_data(),
-    "vhe": lambda args: suite.vhe_data(),
+    "table2": lambda args: _suite().table2_data(),
+    "table3": lambda args: _suite().table3_data(),
+    "table5": lambda args: _suite().table5_data(args.transactions),
+    "figure4": lambda args: _suite().figure4_data(),
+    "ablation": lambda args: _suite().ablation_data(),
+    "vhe": lambda args: _suite().vhe_data(),
 }
 
 
@@ -362,14 +380,14 @@ def _maybe_emit_json(args):
 
 
 COMMANDS = {
-    "table2": lambda args: print(suite.table2_report()),
-    "table3": lambda args: print(suite.table3_report()),
-    "table5": lambda args: print(suite.table5_report(args.transactions)),
-    "figure4": lambda args: print(suite.figure4_report()),
-    "ablation": lambda args: print(suite.ablation_report()),
-    "vhe": lambda args: print(suite.vhe_report()),
+    "table2": lambda args: print(_suite().table2_report()),
+    "table3": lambda args: print(_suite().table3_report()),
+    "table5": lambda args: print(_suite().table5_report(args.transactions)),
+    "figure4": lambda args: print(_suite().figure4_report()),
+    "ablation": lambda args: print(_suite().ablation_report()),
+    "vhe": lambda args: print(_suite().vhe_report()),
     "figures": _cmd_figures,
-    "all": lambda args: print(suite.full_report()),
+    "all": lambda args: print(_suite().full_report()),
     "micro": _cmd_micro,
     "lint": _cmd_lint,
     "spec": _cmd_spec,
@@ -402,7 +420,10 @@ def build_parser():
         )
     table5 = sub.add_parser("table5", help="regenerate table5")
     table5.add_argument(
-        "--transactions", type=int, default=40, help="TCP_RR transactions to simulate"
+        "--transactions",
+        type=int,
+        default=constants.DEFAULT_RR_TRANSACTIONS,
+        help="TCP_RR transactions to simulate",
     )
     table5.add_argument(
         "--emit-json", metavar="PATH", help="also write the results as JSON to PATH"
@@ -412,9 +433,7 @@ def build_parser():
         help="run one operation with observability on; print the span tree "
         "and optionally write a Perfetto-loadable Chrome trace JSON",
     )
-    from repro.obs.capture import ALL_TARGETS
-
-    trace.add_argument("target", choices=ALL_TARGETS, help="what to trace")
+    trace.add_argument("target", choices=constants.TRACE_TARGETS, help="what to trace")
     trace.add_argument(
         "--platform",
         choices=ALL_KEYS,
@@ -430,9 +449,6 @@ def build_parser():
         action="store_true",
         help="also mark every simulation-process resume on the engine track",
     )
-    from repro.runner import bench as runner_bench
-    from repro.runner.cells import DEFAULT_RR_TRANSACTIONS
-
     bench = sub.add_parser(
         "bench",
         help="run the whole suite through the parallel sharded runner; "
@@ -473,24 +489,24 @@ def build_parser():
     )
     bench.add_argument(
         "--cache-dir",
-        default=runner_bench.DEFAULT_CACHE_DIR,
+        default=constants.BENCH_CACHE_DIR,
         metavar="PATH",
-        help="result cache directory (default %s)" % runner_bench.DEFAULT_CACHE_DIR,
+        help="result cache directory (default %s)" % constants.BENCH_CACHE_DIR,
     )
     bench.add_argument(
         "--transactions",
         type=_positive_int,
-        default=DEFAULT_RR_TRANSACTIONS,
+        default=constants.DEFAULT_RR_TRANSACTIONS,
         help="TCP_RR transactions per Table V cell (default %d)"
-        % DEFAULT_RR_TRANSACTIONS,
+        % constants.DEFAULT_RR_TRANSACTIONS,
     )
     bench.add_argument(
         "-o",
         "--output",
-        default=runner_bench.DEFAULT_DOCUMENT_PATH,
+        default=constants.BENCH_DOCUMENT_PATH,
         metavar="PATH",
         help="where to write the bench document (default %s)"
-        % runner_bench.DEFAULT_DOCUMENT_PATH,
+        % constants.BENCH_DOCUMENT_PATH,
     )
     bench.add_argument(
         "--history",
@@ -529,8 +545,6 @@ def build_parser():
         help="instead of running the bench, re-hash every cache entry and "
         "quarantine mismatches (exit 1 if any were quarantined)",
     )
-    from repro.sanitize.runner import TARGETS as SANITIZE_TARGETS
-
     sanitize = sub.add_parser(
         "sanitize",
         help="run cells twice under SimSan (FIFO vs inverted tie-break) and "
@@ -540,7 +554,7 @@ def build_parser():
         "target",
         nargs="?",
         default="suite",
-        choices=sorted(SANITIZE_TARGETS),
+        choices=sorted(constants.SANITIZE_TARGETS),
         help="cell group to sanitize (default: suite = everything the full "
         "report simulates; selftest = seeded detector fixtures)",
     )
@@ -566,8 +580,6 @@ def build_parser():
         help="skip the shared-state multi-writer instrumentation "
         "(tie-break inversion only)",
     )
-    from repro.service import protocol as service_protocol
-
     serve = sub.add_parser(
         "serve",
         help="start the asyncio what-if query server (JSON over HTTP); "
@@ -584,7 +596,7 @@ def build_parser():
         default=None,
         metavar="N",
         help="TCP port, 0 for ephemeral (default REPRO_SERVE_PORT or %d)"
-        % service_protocol.DEFAULT_PORT,
+        % constants.DEFAULT_PORT,
     )
     serve.add_argument(
         "--admit-max",
@@ -637,7 +649,7 @@ def build_parser():
         default=None,
         metavar="N",
         help="server port (default REPRO_SERVE_PORT or %d)"
-        % service_protocol.DEFAULT_PORT,
+        % constants.DEFAULT_PORT,
     )
     query.add_argument(
         "--timeout",
@@ -725,18 +737,18 @@ def build_parser():
     serve_bench.add_argument(
         "--clients",
         type=_positive_int,
-        default=4,
+        default=constants.SERVE_BENCH_CLIENTS,
         metavar="N",
-        help="closed-loop client population (default 4)",
+        help="closed-loop client population (default %d)"
+        % constants.SERVE_BENCH_CLIENTS,
     )
-    from repro.service.loadgen import DEFAULT_DOCUMENT_PATH as SERVICE_BENCH_PATH
-
     serve_bench.add_argument(
         "-o",
         "--output",
-        default=SERVICE_BENCH_PATH,
+        default=constants.SERVE_BENCH_DOCUMENT_PATH,
         metavar="PATH",
-        help="where to write the bench document (default %s)" % SERVICE_BENCH_PATH,
+        help="where to write the bench document (default %s)"
+        % constants.SERVE_BENCH_DOCUMENT_PATH,
     )
     micro = sub.add_parser("micro", help="one platform's microbenchmark column")
     micro.add_argument(

@@ -11,8 +11,19 @@
 * :mod:`repro.core.suite` — one-call entry points
 """
 
-from repro.core.testbed import Testbed, build_testbed, PLATFORM_KEYS
-from repro.core.microbench import MicrobenchmarkSuite, MICROBENCHMARKS
+from repro.lazy import lazy_attributes
+
+# loaded on first use: ``repro.core.reporting`` alone needs no simulator
+__getattr__ = lazy_attributes(
+    __name__,
+    {
+        "MICROBENCHMARKS": "microbench",
+        "MicrobenchmarkSuite": "microbench",
+        "PLATFORM_KEYS": "testbed",
+        "Testbed": "testbed",
+        "build_testbed": "testbed",
+    },
+)
 
 __all__ = [
     "MICROBENCHMARKS",

@@ -15,7 +15,7 @@ import dataclasses
 
 from repro.core.derived import measure_derived_costs
 from repro.core.netanalysis import TcpRrBenchmark
-from repro.core.testbed import build_testbed, native_testbed, parse_key
+from repro.core.testbed import build_platform, build_testbed, native_testbed, parse_key
 from repro.os.kernel import KernelModel
 from repro.os.netstack import NetstackModel
 from repro.sim import Clock
@@ -62,13 +62,19 @@ class AppBenchContext:
 
 
 def make_context(key, irq_vcpus=1, tso_autosizing_fixed=False):
-    """Build the model context for one platform key."""
-    testbed = build_testbed(key)
+    """Build the model context for one platform key.
+
+    The context only reads the platform's costs and clock and the OS
+    models over that clock, so no testbed (machine, hypervisor, VMs) is
+    booted for it.
+    """
+    platform = build_platform(key)
+    clock = Clock(platform.frequency_hz)
     return AppBenchContext(
-        costs=testbed.machine.costs,
-        clock=testbed.machine.clock,
-        netstack=testbed.netstack,
-        kernel=testbed.kernel,
+        costs=platform.costs,
+        clock=clock,
+        netstack=NetstackModel(clock),
+        kernel=KernelModel(clock),
         irq_vcpus=irq_vcpus,
         tso_autosizing_fixed=tso_autosizing_fixed,
     )

@@ -24,10 +24,8 @@ from repro.os.drivers.virtio_net import VirtioNetFrontend
 from repro.os.drivers.xen_netfront import XenNetfront
 from repro.os.kernel import KernelModel
 from repro.os.netstack import NetstackModel
-
-#: The paper's four platform columns, plus the ARMv8.1 VHE projection.
-PLATFORM_KEYS = ["kvm-arm", "xen-arm", "kvm-x86", "xen-x86"]
-ALL_KEYS = PLATFORM_KEYS + ["kvm-vhe-arm"]
+# the platform keys testbeds are built for; their one home is paperdata
+from repro.paperdata import ALL_KEYS, PLATFORM_ORDER as PLATFORM_KEYS  # noqa: F401
 
 VM_PCPUS = [4, 5, 6, 7]
 HOST_PCPUS = [0, 1, 2, 3]
@@ -74,14 +72,18 @@ def parse_key(key):
     return parts[0], parts[1], False
 
 
+def build_platform(key, vapic=False, costs=None):
+    """The static platform description (frequency, costs) behind ``key``."""
+    _hv_kind, arch, vhe = parse_key(key)
+    if arch == "arm":
+        return arm_m400(vhe_capable=vhe, costs=costs)
+    return x86_r320(vapic_enabled=vapic, costs=costs)
+
+
 def build_testbed(key, seed=2016, vapic=False, costs=None):
     """Build the full testbed for one platform column of Table II."""
     hv_kind, arch, vhe = parse_key(key)
-    if arch == "arm":
-        platform = arm_m400(vhe_capable=vhe, costs=costs)
-    else:
-        platform = x86_r320(vapic_enabled=vapic, costs=costs)
-    machine = Machine(platform, seed=seed)
+    machine = Machine(build_platform(key, vapic, costs), seed=seed)
     hypervisor = build_hypervisor(hv_kind, machine, vhe=vhe)
 
     if hv_kind == "xen":

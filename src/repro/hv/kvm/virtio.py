@@ -31,6 +31,12 @@ class VirtioQueue:
             raise ProtocolError("virtqueue %s avail ring full" % self.name)
         self._avail.append(buffer)
 
+    def guest_post_all(self, buffers):
+        """Guest driver: add a list of buffers to the avail ring in one go."""
+        if len(self._avail) + len(buffers) > self.size:
+            raise ProtocolError("virtqueue %s avail ring full" % self.name)
+        self._avail.extend(buffers)
+
     def guest_kick(self):
         """Guest driver: doorbell write (MMIO -> ioeventfd in the host)."""
         self.kicks += 1
@@ -73,5 +79,7 @@ class VirtioNetDevice:
 
     def refill_rx(self):
         """Guest driver keeps the rx ring stocked with empty buffers."""
-        while self.rx.avail_count < self.rx.size:
-            self.rx.guest_post({"empty": True})
+        # one dict per buffer: deliver_rx lands each packet in its own
+        self.rx.guest_post_all(
+            [{"empty": True} for _ in range(self.rx.size - self.rx.avail_count)]
+        )

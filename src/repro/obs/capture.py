@@ -13,6 +13,7 @@ observability layer stays import-light.
 
 import dataclasses
 
+from repro import constants
 from repro.core.breakdown import hypercall_breakdown
 from repro.core.microbench import MicrobenchmarkSuite
 from repro.core.testbed import build_testbed
@@ -20,18 +21,10 @@ from repro.errors import ConfigurationError
 from repro.hw.cpu.registers import RegClass
 
 #: CLI trace target -> MicrobenchmarkSuite method name.
-MICROBENCH_TARGETS = {
-    "hypercall": "hypercall",
-    "intc-trap": "interrupt_controller_trap",
-    "virtual-ipi": "virtual_ipi",
-    "virq-complete": "virtual_irq_completion",
-    "vm-switch": "vm_switch",
-    "io-out": "io_latency_out",
-    "io-in": "io_latency_in",
-}
+MICROBENCH_TARGETS = constants.TRACE_MICROBENCH_METHODS
 
 #: Everything ``python -m repro trace`` accepts.
-ALL_TARGETS = ["table3"] + sorted(MICROBENCH_TARGETS)
+ALL_TARGETS = constants.TRACE_TARGETS
 
 
 @dataclasses.dataclass

@@ -169,3 +169,7 @@ VHE_PROJECTIONS = {
 
 #: The paper's platform columns (Table II order).
 PLATFORM_ORDER = ["kvm-arm", "xen-arm", "kvm-x86", "xen-x86"]
+
+#: Every platform key a testbed can be built for: the paper's four
+#: columns plus the ARMv8.1 VHE projection.
+ALL_KEYS = PLATFORM_ORDER + ["kvm-vhe-arm"]

@@ -37,26 +37,36 @@ grid plus the oversubscription sweep and emits ``BENCH_suite.json``.
 import dataclasses
 import os
 
-from repro.runner import bench, cache, cells, faults, merge, pool, resilience
-from repro.runner.cache import ResultCache
-from repro.runner.cells import (
-    COSTS_PARAM,
-    CellSpec,
-    strip_cost_overrides,
-    with_cost_overrides,
-)
-from repro.runner.pool import (
-    CellResult,
-    RunOutcome,
-    execute_cell,
-    run_cells,
-    run_cells_outcome,
-)
-from repro.runner.resilience import (
-    CellExecutionError,
-    CellFailure,
-    FailedCell,
-    RetryPolicy,
+from repro.lazy import lazy_attributes
+from repro.runner import resilience
+
+# loaded on first use: ``repro.runner.faults`` or ``.journal`` alone
+# needs no simulator, and a serial run never loads the cache or bench
+__getattr__ = lazy_attributes(
+    __name__,
+    {
+        "COSTS_PARAM": "cells",
+        "CellExecutionError": "resilience",
+        "CellFailure": "resilience",
+        "CellResult": "pool",
+        "CellSpec": "cells",
+        "FailedCell": "resilience",
+        "ResultCache": "cache",
+        "RetryPolicy": "resilience",
+        "RunOutcome": "pool",
+        "execute_cell": "pool",
+        "run_cells": "pool",
+        "run_cells_outcome": "pool",
+        "strip_cost_overrides": "cells",
+        "with_cost_overrides": "cells",
+        "bench": None,
+        "cache": None,
+        "cells": None,
+        "faults": None,
+        "journal": None,
+        "merge": None,
+        "pool": None,
+    },
 )
 
 
@@ -88,8 +98,14 @@ def run_plan(specs, jobs=None, cache_dir=None, policy=None):
         jobs = plan.jobs
     if cache_dir is None:
         cache_dir = plan.cache_dir
-    result_cache = ResultCache(cache_dir) if cache_dir else None
-    return run_cells(specs, jobs=jobs, cache=result_cache, policy=policy)
+    from repro.runner import pool
+
+    result_cache = None
+    if cache_dir:
+        from repro.runner.cache import ResultCache
+
+        result_cache = ResultCache(cache_dir)
+    return pool.run_cells(specs, jobs=jobs, cache=result_cache, policy=policy)
 
 
 __all__ = [

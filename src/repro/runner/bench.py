@@ -43,6 +43,7 @@ import json
 import os
 import time
 
+from repro import constants
 from repro.obs import MetricsRegistry
 from repro.runner import cells, faults, journal as journal_mod, merge
 from repro.runner.cache import ResultCache, model_fingerprint
@@ -51,8 +52,8 @@ from repro.runner.pool import RESILIENCE_COUNTERS, run_cells_outcome
 from repro.runner.resilience import RetryPolicy
 
 BENCH_SCHEMA = "repro-bench/1"
-DEFAULT_CACHE_DIR = ".repro-cache"
-DEFAULT_DOCUMENT_PATH = "BENCH_suite.json"
+DEFAULT_CACHE_DIR = constants.BENCH_CACHE_DIR
+DEFAULT_DOCUMENT_PATH = constants.BENCH_DOCUMENT_PATH
 
 
 @dataclasses.dataclass

@@ -21,6 +21,7 @@ payload (:mod:`repro.runner.merge` reassembles the ``*_data`` shapes).
 import dataclasses
 import json
 
+from repro import constants
 from repro.core.appbench import run_figure4
 from repro.core.breakdown import hypercall_breakdown
 from repro.core.irqbalance import run_irq_distribution_ablation
@@ -36,8 +37,9 @@ from repro.workloads import FIGURE4_WORKLOADS
 
 #: netperf TCP_RR transactions simulated per Table V cell (the
 #: ``run_table5`` default; ``python -m repro table5 --transactions`` and
-#: the cache key both carry the actual value).
-DEFAULT_RR_TRANSACTIONS = 40
+#: the cache key both carry the actual value).  Its home is
+#: :mod:`repro.constants`, which the CLI parser reads without this module.
+DEFAULT_RR_TRANSACTIONS = constants.DEFAULT_RR_TRANSACTIONS
 
 #: Table V columns, in report order.
 TCPRR_CONFIGS = ("native", "kvm", "xen")

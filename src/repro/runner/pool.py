@@ -40,13 +40,10 @@ and ``runner.cache.quarantined``.
 
 import dataclasses
 import json
-import multiprocessing
 import threading
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.obs import MetricsRegistry
 from repro.runner import cells, faults, resilience
@@ -277,8 +274,23 @@ def _run_serial(pending, policy, metrics, accept, failures):
             break
 
 
+def load_fanout():
+    """Import what a ``jobs > 1`` fan-out needs; returns the modules.
+
+    A serial run never calls this, so it never loads ``multiprocessing``.
+    A server with ``jobs > 1`` calls it before it reports ready, so its
+    first query pays no import.
+    """
+    import multiprocessing
+    from concurrent import futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    return multiprocessing, futures, BrokenProcessPool
+
+
 def _run_parallel(pending, jobs, policy, metrics, accept, failures):
     """The fan-out path: watchdogged pool with retry/requeue/degrade."""
+    multiprocessing, futures, BrokenProcessPool = load_fanout()
     context = multiprocessing.get_context("spawn")
     max_workers = resilience.clamp_workers(jobs, len(pending))
     states = {spec.id: _CellState(spec) for spec in pending}
@@ -333,7 +345,7 @@ def _run_parallel(pending, jobs, policy, metrics, accept, failures):
             # slot (false timeouts on narrow hosts).
             while ready and len(inflight) < max_workers:
                 if pool is None:
-                    pool = ProcessPoolExecutor(
+                    pool = futures.ProcessPoolExecutor(
                         max_workers=max_workers,
                         mp_context=context,
                         initializer=faults.mark_worker_process,
@@ -361,8 +373,8 @@ def _run_parallel(pending, jobs, policy, metrics, accept, failures):
                     _sleep(max(0.0, min(next_at - time.monotonic(), _TICK_S)))
                 continue
 
-            done, _not_done = wait(
-                list(inflight), timeout=_TICK_S, return_when=FIRST_COMPLETED
+            done, _not_done = futures.wait(
+                list(inflight), timeout=_TICK_S, return_when=futures.FIRST_COMPLETED
             )
             broken = False
             for future in done:

@@ -18,6 +18,7 @@ detector actually fires (one deliberate tie race, one clean control).
 import hashlib
 import json
 
+from repro.constants import SANITIZE_TARGETS
 from repro.errors import ConfigurationError
 from repro.runner import cells
 from repro.sanitize import selftest as selftest_mod
@@ -28,16 +29,10 @@ from repro.sim.engine import Engine
 #: report schema identifier (checked by tools/validate_sanitize.py)
 SCHEMA = "repro-sanitize/1"
 
+#: target -> builder of the cells it sweeps (names: repro.constants)
 TARGETS = {
-    "suite": lambda: cells.full_report_cells(),
-    "table2": lambda: cells.table2_cells(),
-    "table3": lambda: cells.table3_cells(),
-    "table5": lambda: cells.table5_cells(),
-    "figure4": lambda: cells.figure4_cells(),
-    "ablation": lambda: cells.ablation_cells(),
-    "vhe": lambda: cells.vhe_cells(),
-    "oversub": lambda: cells.oversubscription_cells(),
-    "selftest": selftest_mod.cells,
+    target: selftest_mod.cells if group is None else getattr(cells, group)
+    for target, group in SANITIZE_TARGETS.items()
 }
 
 

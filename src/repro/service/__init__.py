@@ -26,9 +26,28 @@ Module map:
   behind ``python -m repro serve-bench``.
 """
 
-from repro.service.broker import SimulationBroker
-from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
-from repro.service.server import ServiceConfig, ServiceServer, start_in_thread
+from repro.lazy import lazy_attributes
+
+# loaded on first use: a client must not pay for the server, the broker
+# and the simulator behind them
+__getattr__ = lazy_attributes(
+    __name__,
+    {
+        "AsyncServiceClient": "client",
+        "ServiceClient": "client",
+        "ServiceConfig": "server",
+        "ServiceError": "client",
+        "ServiceServer": "server",
+        "SimulationBroker": "broker",
+        "start_in_thread": "server",
+        "broker": None,
+        "client": None,
+        "loadgen": None,
+        "protocol": None,
+        "queries": None,
+        "server": None,
+    },
+)
 
 __all__ = [
     "AsyncServiceClient",

@@ -71,6 +71,8 @@ class SimulationBroker:
 
     def __init__(self, jobs=1, cache=None, policy=None, metrics=None):
         self.jobs = jobs
+        if jobs > 1:
+            pool.load_fanout()  # now, not on the first query
         self.cache = cache
         base = policy if policy is not None else RetryPolicy.from_env()
         # keep_going is non-negotiable: a batch mixes unrelated queries'

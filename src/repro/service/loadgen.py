@@ -25,12 +25,13 @@ import asyncio
 import json
 import time
 
+from repro import constants
 from repro.service import protocol
 from repro.service.client import AsyncServiceClient
 from repro.service.server import ServiceConfig, start_in_thread
 
-DEFAULT_CLIENTS = 4
-DEFAULT_DOCUMENT_PATH = "SERVICE_bench.json"
+DEFAULT_CLIENTS = constants.SERVE_BENCH_CLIENTS
+DEFAULT_DOCUMENT_PATH = constants.SERVE_BENCH_DOCUMENT_PATH
 
 #: the sweep phase's request walk (target, params)
 SWEEP_QUERIES = (

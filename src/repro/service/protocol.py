@@ -20,6 +20,7 @@ only after the whole batch settled.
 
 import json
 
+from repro import constants
 from repro.errors import ReproError
 
 #: response envelope schema (success and error documents)
@@ -30,7 +31,7 @@ METRICS_SCHEMA = "repro-service-metrics/1"
 BENCH_SCHEMA = "repro-service-bench/1"
 
 #: the default ``python -m repro serve`` port (``REPRO_SERVE_PORT``)
-DEFAULT_PORT = 8123
+DEFAULT_PORT = constants.DEFAULT_PORT
 
 # --- error vocabulary ----------------------------------------------------
 
