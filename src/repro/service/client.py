@@ -20,7 +20,6 @@ desynchronize without any wall-clock or RNG entropy.  ``retries=0``
 single-attempt behavior.
 """
 
-import asyncio
 import dataclasses
 import hashlib
 import http.client
@@ -234,10 +233,19 @@ class ServiceClient:
 
 
 class AsyncServiceClient:
-    """Non-blocking client for concurrent queries from one event loop."""
+    """Non-blocking client for concurrent queries from one event loop.
 
-    #: test seam: retry waits route through here
-    _sleep = staticmethod(asyncio.sleep)
+    Its methods import ``asyncio`` themselves (its caller runs a loop, so
+    it is already loaded): the sync client behind ``python -m repro
+    query`` never loads it.
+    """
+
+    @staticmethod
+    async def _sleep(delay):
+        """Test seam: retry waits route through here."""
+        import asyncio
+
+        await asyncio.sleep(delay)
 
     def __init__(self, host="127.0.0.1", port=None, retry=None):
         self.host = host
@@ -245,6 +253,8 @@ class AsyncServiceClient:
         self.retry = retry if retry is not None else RetryConfig.from_env()
 
     async def request(self, method, path, payload=None):
+        import asyncio
+
         reader, writer = await asyncio.open_connection(self.host, self.port)
         try:
             writer.write(
