@@ -88,11 +88,18 @@ def run_workload(workload, key, irq_vcpus=1, tso_autosizing_fixed=False, derived
     return workload.run(derived, context)
 
 
-def run_figure4(keys, irq_vcpus=1, workloads=None):
-    """The full Figure 4 grid: {workload name: {key: WorkloadResult}}."""
+def run_figure4(keys, irq_vcpus=1, workloads=None, derived=None):
+    """The full Figure 4 grid: {workload name: {key: WorkloadResult}}.
+
+    ``derived`` maps a key to its already measured
+    :class:`~repro.core.derived.DerivedOpCosts`; a key it lacks is
+    measured here.
+    """
     if workloads is None:
         workloads = FIGURE4_WORKLOADS
-    derived = {key: measure_derived_costs(key) for key in keys}
+    derived = {
+        key: (derived or {}).get(key) or measure_derived_costs(key) for key in keys
+    }
     contexts = {key: make_context(key, irq_vcpus) for key in keys}
     grid = {}
     for workload in workloads:

@@ -53,13 +53,23 @@ class DerivedOpCosts:
 
 def measure_derived_costs(key, seed=2016):
     """Measure all derived costs for one platform key."""
-    testbed = build_testbed(key, seed=seed)
-    suite = MicrobenchmarkSuite(testbed)
-    micro = suite.run_all()
-    notify_running, occupancy = _measure_notify_running(build_testbed(key, seed=seed))
-    costs = testbed.machine.costs
-    if testbed.hypervisor.design == "type1":
-        shootdown = testbed.hypervisor.shootdown
+    micro = MicrobenchmarkSuite(build_testbed(key, seed=seed)).run_all()
+    return derive_costs(key, micro, seed=seed)
+
+
+def derive_costs(key, micro, seed=2016):
+    """Derived costs from one platform's Table II measurements.
+
+    ``micro`` maps each microbenchmark name to its cycles (the
+    ``MicrobenchmarkSuite.run_all()`` result, or the ``micro[key]``
+    cell's payload).  The notify-running and block-I/O probes run on
+    fresh testbeds of their own; the grant-copy costs read only the
+    probe testbed's cost table and TLB shootdown, which hold no state.
+    """
+    probe = build_testbed(key, seed=seed)
+    costs = probe.machine.costs
+    if probe.hypervisor.design == "type1":
+        shootdown = probe.hypervisor.shootdown
         grant_mtu = grant_copy_cycles(costs, shootdown, MTU_BYTES)
         grant_page = grant_copy_cycles(costs, shootdown, PAGE_SIZE)
         amortized = shootdown.invalidate_cycles() * (GRANT_BATCH - 1) // GRANT_BATCH
@@ -68,9 +78,10 @@ def measure_derived_costs(key, seed=2016):
     else:
         grant_mtu = grant_page = 0
         grant_mtu_batched = grant_page_batched = 0
+    notify_running, occupancy = _measure_notify_running(probe)
     return DerivedOpCosts(
         key=key,
-        frequency_hz=testbed.machine.platform.frequency_hz,
+        frequency_hz=probe.machine.platform.frequency_hz,
         hypercall=micro["Hypercall"],
         intc_trap=micro["Interrupt Controller Trap"],
         virtual_ipi=micro["Virtual IPI"],
@@ -127,6 +138,3 @@ def _measure_notify_running(testbed):
     occupancy = trace.cycles_on_pcpu(vm.vcpu(0).pcpu.index)
     return total, occupancy
 
-
-def measure_all(keys, seed=2016):
-    return {key: measure_derived_costs(key, seed=seed) for key in keys}

@@ -28,16 +28,23 @@ class AblationPoint:
         return self.single_overhead_pct - self.distributed_overhead_pct
 
 
-def run_irq_distribution_ablation(keys=("kvm-arm", "xen-arm"), workloads=None):
-    """Returns {(key, workload): AblationPoint}."""
+def run_irq_distribution_ablation(
+    keys=("kvm-arm", "xen-arm"), workloads=None, derived=None
+):
+    """Returns {(key, workload): AblationPoint}.
+
+    ``derived`` maps a key to its already measured
+    :class:`~repro.core.derived.DerivedOpCosts`; a key it lacks is
+    measured here.
+    """
     if workloads is None:
         workloads = [Apache(), Memcached()]
     results = {}
     for key in keys:
-        derived = measure_derived_costs(key)
+        costs = (derived or {}).get(key) or measure_derived_costs(key)
         for workload in workloads:
-            single = run_workload(workload, key, irq_vcpus=1, derived=derived)
-            distributed = run_workload(workload, key, irq_vcpus=4, derived=derived)
+            single = run_workload(workload, key, irq_vcpus=1, derived=costs)
+            distributed = run_workload(workload, key, irq_vcpus=4, derived=costs)
             results[(key, workload.name)] = AblationPoint(
                 workload=workload.name,
                 key=key,

@@ -1,7 +1,8 @@
 """Parallel sharded suite execution with content-addressed caching.
 
-The runner decomposes the full evaluation suite into independent
-*cells* (:mod:`repro.runner.cells`), executes them — in-process, across
+The runner decomposes the full evaluation suite into *cells*
+(:mod:`repro.runner.cells`; a consumer cell reads the payloads of the
+cells it consumes), executes them — in-process, across
 spawned worker processes, or straight out of an on-disk cache
 (:mod:`repro.runner.pool`, :mod:`repro.runner.cache`) — and
 deterministically merges the payloads back into the exact shapes and

@@ -101,11 +101,16 @@ class BenchOutcome:
         return text
 
 
+def _planned_ids(specs):
+    """Every cell a run of ``specs`` may journal: the inputs included."""
+    return [spec.id for spec in cells.input_closure(specs)]
+
+
 def _journal_header(cache, specs, jobs, transactions, policy):
     """The ``run-open`` payload: everything a sound resume must match."""
     return {
         "fingerprint": cache.base_fingerprint(),
-        "cells": [spec.id for spec in specs],
+        "cells": _planned_ids(specs),
         "jobs": jobs,
         "transactions": transactions,
         "policy": {
@@ -217,11 +222,12 @@ def resume_bench(
         )
     transactions = state.header.get("transactions", cells.DEFAULT_RR_TRANSACTIONS)
     specs = cells.bench_cells(transactions)
-    if [spec.id for spec in specs] != state.header.get("cells"):
+    planned = _planned_ids(specs)
+    if planned != state.header.get("cells"):
         raise JournalError(
             "refusing to resume %s: the bench cell grid changed since "
             "run-open (journal lists %d cells, this build plans %d)"
-            % (state.run_id, len(state.header.get("cells") or ()), len(specs))
+            % (state.run_id, len(state.header.get("cells") or ()), len(planned))
         )
     if jobs is None:
         jobs = state.header.get("jobs", 1)

@@ -1,21 +1,33 @@
-"""The cell graph: the full report sharded into independent units.
+"""The cell graph: the full report sharded into units of simulation.
 
-A *cell* is the smallest independently simulable unit of the suite —
-one (platform, hypervisor, benchmark/table) combination, or one sweep
-point of the ablation/VHE/oversubscription grids.  Every cell is:
+A *cell* is the smallest separately simulable unit of the suite — one
+(platform, hypervisor, benchmark/table) combination, or one sweep point
+of the ablation/VHE/oversubscription grids.  Every cell is:
 
-* **self-contained** — it builds its own testbeds from the platform key
-  and parameters, so it can run in any process in any order;
+* **a function of its spec and its inputs** — it builds its own
+  testbeds from the platform key and parameters, and a consumer kind
+  (:data:`INPUT_KINDS`) also reads the payloads of the cells it
+  consumes, so it can run in any process once its inputs are done;
 * **deterministic** — the simulator guarantees the same payload for the
   same parameters, which is what makes both the worker fan-out and the
   content-addressed cache (:mod:`repro.runner.cache`) sound;
 * **JSON-valued** — the payload is plain data (dicts/lists/numbers/
   strings), so a cached result is indistinguishable from a fresh one.
 
+The graph is a DAG.  ``derived[key]`` consumes ``micro[key]``'s Table II
+payload and adds its own probes; every ``appcol`` and ``ablation`` cell
+consumes ``derived[key]``.  An input is built from the consumer's own
+key and carries the consumer's ``costs`` parameter, so under one model
+fingerprint it is a pure function of the consumer's spec: the cache key
+of a consumer need not (and does not) cover its inputs.
+:func:`input_closure` orders a cell list's inputs before their
+consumers.
+
 Cells deliberately deduplicate across report sections: Table II and the
 Section VI VHE comparison both need the ``micro[key=kvm-arm]`` cell, so
 the runner simulates it once and both sections merge from the same
-payload (:mod:`repro.runner.merge` reassembles the ``*_data`` shapes).
+payload (:mod:`repro.runner.merge` reassembles the ``*_data`` shapes),
+and the same payload feeds ``derived[key=kvm-arm]``.
 """
 
 import dataclasses
@@ -24,6 +36,7 @@ import json
 from repro import constants
 from repro.core.appbench import run_figure4
 from repro.core.breakdown import hypercall_breakdown
+from repro.core.derived import DerivedOpCosts, derive_costs
 from repro.core.irqbalance import run_irq_distribution_ablation
 from repro.core.microbench import MicrobenchmarkSuite
 from repro.core.netanalysis import TcpRrBenchmark
@@ -103,10 +116,17 @@ def with_cost_overrides(spec, overrides):
     document = hw_costs.validate_overrides(overrides)
     if not document:
         return spec
-    params = dict(spec.params)
-    params[COSTS_PARAM] = json.dumps(
-        document, sort_keys=True, separators=(",", ":")
+    return _with_encoded_costs(
+        spec, json.dumps(document, sort_keys=True, separators=(",", ":"))
     )
+
+
+def _with_encoded_costs(spec, encoded):
+    """``spec`` carrying an already canonical ``costs`` parameter."""
+    if encoded is None:
+        return spec
+    params = dict(spec.params)
+    params[COSTS_PARAM] = encoded
     return CellSpec(spec.kind, tuple(sorted(params.items())))
 
 
@@ -137,6 +157,11 @@ def tcprr(config, transactions=DEFAULT_RR_TRANSACTIONS):
     return _spec("tcprr", config=config, transactions=transactions)
 
 
+def derived(key):
+    """Per-operation costs of one platform (consumes ``micro[key]``)."""
+    return _spec("derived", key=key)
+
+
 def appcol(key, irq_vcpus=1):
     """Figure 4 column: every application workload on one platform."""
     return _spec("appcol", key=key, irq_vcpus=irq_vcpus)
@@ -150,6 +175,48 @@ def ablation(key, workload):
 def oversub(key, timeslice_us):
     """Oversubscription sweep point: one (platform, timeslice) run."""
     return _spec("oversub", key=key, timeslice_us=timeslice_us)
+
+
+#: consumer kind -> the constructor of the one cell it consumes, called
+#: with the consumer's ``key``
+INPUT_KINDS = {"derived": micro, "appcol": derived, "ablation": derived}
+
+
+def inputs_of(spec):
+    """The cells whose payloads ``spec`` consumes, in argument order.
+
+    An input is built from the consumer's ``key`` and carries the
+    consumer's ``costs`` what-if parameter.
+    """
+    make = INPUT_KINDS.get(spec.kind)
+    if make is None:
+        return ()
+    params = spec.params_dict()
+    return (_with_encoded_costs(make(params["key"]), params.get(COSTS_PARAM)),)
+
+
+def input_closure(specs, resolved=None):
+    """``specs`` plus every input they need, each after its inputs.
+
+    Deduplicated; requested cells keep their relative order.  A cell for
+    which ``resolved(spec)`` is true (a cache hit) is kept, but its
+    inputs are not expanded.
+    """
+    order = []
+    seen = set()
+
+    def visit(spec):
+        if spec in seen:
+            return
+        seen.add(spec)
+        if resolved is None or not resolved(spec):
+            for source in inputs_of(spec):
+                visit(source)
+        order.append(spec)
+
+    for spec in specs:
+        visit(spec)
+    return order
 
 
 # --- cell executors ------------------------------------------------------
@@ -181,21 +248,32 @@ def _run_tcprr(params):
     return dataclasses.asdict(result)
 
 
-def _run_appcol(params):
+def _run_derived(params, micro_payload):
+    return dataclasses.asdict(derive_costs(params["key"], micro_payload))
+
+
+def _run_appcol(params, derived_payload):
     key = params["key"]
-    grid = run_figure4([key], irq_vcpus=params["irq_vcpus"])
+    grid = run_figure4(
+        [key],
+        irq_vcpus=params["irq_vcpus"],
+        derived={key: DerivedOpCosts(**derived_payload)},
+    )
     return {
         workload: dataclasses.asdict(row[key]) for workload, row in grid.items()
     }
 
 
-def _run_ablation(params):
+def _run_ablation(params, derived_payload):
     name = params["workload"]
     if name not in _WORKLOADS_BY_NAME:
         raise ConfigurationError("unknown workload %r" % (name,))
     workload_cls = _WORKLOADS_BY_NAME[name]
+    key = params["key"]
     results = run_irq_distribution_ablation(
-        keys=(params["key"],), workloads=[workload_cls()]
+        keys=(key,),
+        workloads=[workload_cls()],
+        derived={key: DerivedOpCosts(**derived_payload)},
     )
     (point,) = results.values()
     return dataclasses.asdict(point)
@@ -212,18 +290,21 @@ CELL_KINDS = {
     "micro": _run_micro,
     "breakdown": _run_breakdown,
     "tcprr": _run_tcprr,
+    "derived": _run_derived,
     "appcol": _run_appcol,
     "ablation": _run_ablation,
     "oversub": _run_oversub,
 }
 
 
-def run_cell(spec, attempt=0):
+def run_cell(spec, attempt=0, inputs=()):
     """Execute one cell in this process; returns its JSON payload.
 
-    ``attempt`` is the cell's submission index (0 on the first try); it
-    only matters to the deterministic fault-injection hook, which is a
-    no-op unless ``REPRO_FAULT_PLAN`` is set (chaos tests / CI).
+    ``inputs`` holds the payloads of :func:`inputs_of(spec) <inputs_of>`,
+    in that order.  ``attempt`` is the cell's submission index (0 on the
+    first try); it only matters to the deterministic fault-injection
+    hook, which is a no-op unless ``REPRO_FAULT_PLAN`` is set (chaos
+    tests / CI).
 
     A cell carrying a ``costs`` parameter (see
     :func:`with_cost_overrides`) simulates under that what-if override
@@ -237,9 +318,9 @@ def run_cell(spec, attempt=0):
     params = spec.params_dict()
     encoded = params.pop(COSTS_PARAM, None)
     if encoded is None:
-        return runner(params)
+        return runner(params, *inputs)
     with hw_costs.overriding(json.loads(encoded)):
-        return runner(params)
+        return runner(params, *inputs)
 
 
 # --- grids ---------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Cell execution: in-process, fanned out across workers, or from cache.
 
-Cells are self-contained and deterministic (see
-:mod:`repro.runner.cells`), so workers need no shared state, no
-ordering, and no communication beyond (spec in, payload out).
+Cells are deterministic functions of their spec and their inputs' payloads
+(see :mod:`repro.runner.cells`), so workers need no shared state and no
+communication beyond (spec and input payloads in, payload out).  The
+planner resolves the requested cells against the cache and expands the
+inputs of each miss, in topological order; a consumer runs only after
+all its inputs are accepted, and a consumer whose input failed for good
+is finalized without running (attempt kind ``input-failed``).
 ``run_cells`` always returns results keyed and ordered by the *request*
-order, never by completion order — the deterministic-merge guarantee the
-differential tests hold the runner to.
+order (followed by the inputs planned for them), never by completion
+order — the deterministic-merge guarantee the differential tests hold
+the runner to.
 
 Workers are spawned (not forked) so every cell simulates from a fresh
 interpreter with no inherited module state; a cell's payload therefore
@@ -117,8 +122,10 @@ class RunOutcome:
     metrics: MetricsRegistry
 
 
-def execute_cell(spec, attempt=0):
+def execute_cell(spec, attempt=0, inputs=()):
     """Run one cell in this process, with engine/wall accounting.
+
+    ``inputs`` holds the payloads of ``cells.inputs_of(spec)``.
 
     On failure, raises a picklable
     :class:`~repro.runner.resilience.CellExecutionError` carrying the
@@ -131,7 +138,7 @@ def execute_cell(spec, attempt=0):
         Engine.created_hook = created.append
         start = time.perf_counter()
         try:
-            payload = cells.run_cell(spec, attempt)
+            payload = cells.run_cell(spec, attempt, inputs)
         except Exception as exc:
             raise CellExecutionError(
                 spec.id,
@@ -189,13 +196,38 @@ def _verified(result):
 class _CellState:
     """Per-cell scheduler bookkeeping across retries and requeues."""
 
-    __slots__ = ("spec", "submissions", "charged", "history")
+    __slots__ = ("spec", "inputs", "submissions", "charged", "history")
 
     def __init__(self, spec):
         self.spec = spec
+        self.inputs = ()  # the input payloads, set once all are accepted
         self.submissions = 0  # attempt indices consumed (drives fault plans)
         self.charged = 0  # failures charged against the retry budget
         self.history = []  # AttemptFailure records, in order
+
+
+def _input_payloads(spec, results):
+    return tuple(results[source.id].payload for source in cells.inputs_of(spec))
+
+
+def _failed_input(spec, failures):
+    """The id of an input of ``spec`` that failed for good, or None."""
+    failed = {failed.cell_id for failed in failures}
+    for source in cells.inputs_of(spec):
+        if source.id in failed:
+            return source.id
+    return None
+
+
+def _fail_on_input(spec, input_id, policy, metrics, failures):
+    """Finalize a consumer whose input failed, without running it."""
+    state = _CellState(spec)
+    state.history.append(
+        AttemptFailure(
+            attempt=0, kind="input-failed", error="input %s failed" % input_id
+        )
+    )
+    _finalize_failure(state, policy, metrics, failures, degraded=False)
 
 
 def _corrupt_failure(state, result):
@@ -229,7 +261,7 @@ def _attempt_inprocess(state):
     index = state.submissions
     state.submissions += 1
     try:
-        result = execute_cell(state.spec, index)
+        result = execute_cell(state.spec, index, state.inputs)
     except CellExecutionError as exc:
         return None, AttemptFailure.from_execution_error(index, exc), exc.retryable
     if not _verified(result):
@@ -252,10 +284,19 @@ def _degrade_serial(state, policy, metrics, accept, failures):
     _finalize_failure(state, policy, metrics, failures, degraded=True)
 
 
-def _run_serial(pending, policy, metrics, accept, failures):
-    """The ``jobs=1`` path: retry loop, no worker boundary, no watchdog."""
+def _run_serial(pending, policy, metrics, accept, results, failures):
+    """The ``jobs=1`` path: retry loop, no worker boundary, no watchdog.
+
+    ``pending`` is in topological order, so every input has settled
+    before its consumer comes up.
+    """
     for spec in pending:
+        input_id = _failed_input(spec, failures)
+        if input_id is not None:
+            _fail_on_input(spec, input_id, policy, metrics, failures)
+            continue
         state = _CellState(spec)
+        state.inputs = _input_payloads(spec, results)
         while True:
             result, failure, retryable = _attempt_inprocess(state)
             if result is not None:
@@ -288,16 +329,37 @@ def load_fanout():
     return multiprocessing, futures, BrokenProcessPool
 
 
-def _run_parallel(pending, jobs, policy, metrics, accept, failures):
-    """The fan-out path: watchdogged pool with retry/requeue/degrade."""
+def _run_parallel(pending, jobs, policy, metrics, accept, results, failures):
+    """The fan-out path: watchdogged pool with retry/requeue/degrade.
+
+    A cell waits until all its inputs are accepted; only then is it
+    ready for submission, carrying their payloads to the worker.
+    """
     multiprocessing, futures, BrokenProcessPool = load_fanout()
     context = multiprocessing.get_context("spawn")
     max_workers = resilience.clamp_workers(jobs, len(pending))
     states = {spec.id: _CellState(spec) for spec in pending}
-    ready = list(pending)
+    waiting = list(pending)  # in topological order
+    ready = []
     delayed = []  # [(monotonic ready_at, spec), ...] — backoff parking lot
     inflight = {}  # future -> (spec, monotonic deadline or None)
     pool = None
+
+    def promote():
+        """Ready every waiting cell whose inputs are all accepted; finalize
+        every one with a failed input.  One pass suffices: a consumer
+        comes after its inputs in ``waiting``."""
+        still = []
+        for spec in waiting:
+            input_id = _failed_input(spec, failures)
+            if input_id is not None:
+                _fail_on_input(spec, input_id, policy, metrics, failures)
+            elif all(source.id in results for source in cells.inputs_of(spec)):
+                states[spec.id].inputs = _input_payloads(spec, results)
+                ready.append(spec)
+            else:
+                still.append(spec)
+        waiting[:] = still
 
     def charge_and_route(state, failure, retryable):
         state.history.append(failure)
@@ -333,7 +395,10 @@ def _run_parallel(pending, jobs, policy, metrics, accept, failures):
         pool = None
 
     try:
-        while ready or delayed or inflight:
+        while True:
+            promote()
+            if not (ready or delayed or inflight):
+                break
             now = time.monotonic()
             if delayed:
                 due = [item for item in delayed if item[0] <= now]
@@ -353,7 +418,9 @@ def _run_parallel(pending, jobs, policy, metrics, accept, failures):
                 spec = ready.pop(0)
                 state = states[spec.id]
                 try:
-                    future = pool.submit(execute_cell, spec, state.submissions)
+                    future = pool.submit(
+                        execute_cell, spec, state.submissions, state.inputs
+                    )
                 except BrokenProcessPool:
                     # broken between completions; recycle and resubmit
                     if not inflight:
@@ -474,8 +541,11 @@ def run_cells_outcome(specs, jobs=1, cache=None, policy=None, metrics=None, jour
     ``jobs=1`` runs everything in-process (no subprocess overhead — the
     default path ``suite.full_report()`` takes); ``jobs>1`` fans cache
     misses out over spawned worker processes (width clamped to the
-    host's cores).  The result dict is always in (deduplicated) request
-    order regardless of which worker finished first.
+    host's cores).  Only a cache miss has its inputs planned
+    (``cells.input_closure``), so a fully cached run looks up nothing
+    else.  The result dict is always in (deduplicated) request order,
+    followed by the planned inputs in plan order, regardless of which
+    worker finished first.
 
     With a ``journal`` (an open :class:`repro.runner.journal.RunJournal`;
     requires a ``cache``), every cell's fate is appended write-ahead:
@@ -492,13 +562,14 @@ def run_cells_outcome(specs, jobs=1, cache=None, policy=None, metrics=None, jour
     ordered = cells.dedupe(specs)
     results = {}
     failures = []
-    pending = []
     keys = {}
     quarantined_before = cache.quarantined if cache is not None else 0
     write_errors_before = cache.write_errors if cache is not None else 0
     if cache is not None:
         base = cache.base_fingerprint()
-        for spec in ordered:
+
+        def resolved(spec):
+            """Look ``spec`` up; a hit lands in ``results``."""
             key = keys[spec.id] = cache.key_for(spec, base)
             quarantined_mark = cache.quarantined
             entry = cache.load(key)
@@ -507,15 +578,18 @@ def run_cells_outcome(specs, jobs=1, cache=None, policy=None, metrics=None, jour
                     # a journal-referenced (or just stale) entry failed
                     # verification: record the incident, then re-run
                     journal.cell_quarantined(spec.id, key)
-                pending.append(spec)
-            else:
-                results[spec.id] = _from_cache(spec, entry)
-                if journal is not None:
-                    journal.cell_completed(
-                        spec.id, key, results[spec.id].payload_sha256, "cache"
-                    )
+                return False
+            results[spec.id] = _from_cache(spec, entry)
+            if journal is not None:
+                journal.cell_completed(
+                    spec.id, key, results[spec.id].payload_sha256, "cache"
+                )
+            return True
+
+        planned = cells.input_closure(ordered, resolved)
     else:
-        pending = list(ordered)
+        planned = cells.input_closure(ordered)
+    pending = [spec for spec in planned if spec.id not in results]
     if journal is not None:
         for spec in pending:
             journal.cell_submitted(spec.id)
@@ -540,9 +614,11 @@ def run_cells_outcome(specs, jobs=1, cache=None, policy=None, metrics=None, jour
     try:
         if pending:
             if jobs > 1:
-                _run_parallel(pending, jobs, policy, metrics, accept, failures)
+                _run_parallel(
+                    pending, jobs, policy, metrics, accept, results, failures
+                )
             else:
-                _run_serial(pending, policy, metrics, accept, failures)
+                _run_serial(pending, policy, metrics, accept, results, failures)
     except resilience.CellFailure as exc:
         if journal is not None:
             for failed in exc.failed_cells:
@@ -566,9 +642,11 @@ def run_cells_outcome(specs, jobs=1, cache=None, policy=None, metrics=None, jour
         metrics.counter("runner.cache.write_error").inc(
             cache.write_errors - write_errors_before
         )
+    requested = set(ordered)
+    order = ordered + [spec for spec in planned if spec not in requested]
     return RunOutcome(
         results=OrderedDict(
-            (spec.id, results[spec.id]) for spec in ordered if spec.id in results
+            (spec.id, results[spec.id]) for spec in order if spec.id in results
         ),
         failures=failures,
         metrics=metrics,

@@ -107,7 +107,9 @@ class AttemptFailure:
     """One failed attempt of one cell."""
 
     attempt: int
-    kind: str  # "exception" | "timeout" | "pool-crash" | "corrupt-payload"
+    # "exception" | "timeout" | "pool-crash" | "corrupt-payload", or
+    # "input-failed": an input failed for good, so the cell never ran
+    kind: str
     error: str
     traceback: str = ""
     engines: int = 0

@@ -9,10 +9,13 @@ diverge (with both schedule sites).  Write tracking over shared
 hypervisor state runs alongside and flags same-cycle multi-writer
 fields independently of whether the payload happened to move.
 
-Cells come from the PR-3 runner's cell graph (:mod:`repro.runner.cells`)
+Cells come from the runner's cell graph (:mod:`repro.runner.cells`)
 so ``sanitize suite`` covers exactly what ``bench``/``full_report``
-simulate, plus a ``selftest`` target whose seeded cells prove the
-detector actually fires (one deliberate tie race, one clean control).
+simulate: a target sweeps its cells' input closure (``derived[key]``'s
+probes run under both orders too), and a consumer reads its inputs'
+payloads from their FIFO pass.  A ``selftest`` target's seeded cells
+prove the detector actually fires (one deliberate tie race, one clean
+control).
 """
 
 import hashlib
@@ -43,31 +46,37 @@ def payload_sha256(payload):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _execute(cell):
+def _execute(cell, inputs):
     """Run one cell (a CellSpec or a selftest cell) to its payload."""
     if hasattr(cell, "run"):
         return cell.run()
-    return cells.run_cell(cell)
+    return cells.run_cell(cell, inputs=inputs)
 
 
-def _one_pass(cell, order, track_writes):
+def _one_pass(cell, order, track_writes, inputs):
     san = SimSan(order)
     Engine.sanitizer = san
     try:
         if track_writes:
             with writes.tracking(san):
-                payload = _execute(cell)
+                payload = _execute(cell, inputs)
         else:
-            payload = _execute(cell)
+            payload = _execute(cell, inputs)
     finally:
         Engine.sanitizer = None
     return san, payload
 
 
 def sanitize_cell(cell, track_writes=True):
-    """Dual-run one cell; returns its report entry (plain data)."""
-    fifo_san, fifo_payload = _one_pass(cell, FIFO, track_writes)
-    inverted_san, inverted_payload = _one_pass(cell, INVERTED, track_writes)
+    """Dual-run one cell that consumes no other; returns its report
+    entry (plain data)."""
+    return _dual_run(cell, track_writes, ())[0]
+
+
+def _dual_run(cell, track_writes, inputs):
+    """``(report entry, FIFO payload)`` of one cell."""
+    fifo_san, fifo_payload = _one_pass(cell, FIFO, track_writes, inputs)
+    inverted_san, inverted_payload = _one_pass(cell, INVERTED, track_writes, inputs)
 
     fifo_hash = payload_sha256(fifo_payload)
     inverted_hash = payload_sha256(inverted_payload)
@@ -83,7 +92,7 @@ def sanitize_cell(cell, track_writes=True):
         )
     multi_writer = fifo_san.multi_writer_races() if track_writes else []
 
-    return {
+    entry = {
         "cell": cell.id,
         "payload_sha256": fifo_hash,
         "inverted_sha256": inverted_hash,
@@ -92,20 +101,27 @@ def sanitize_cell(cell, track_writes=True):
         "metrics": fifo_san.metrics_snapshot(),
         "races": {"tie_order": tie_races, "multi_writer": multi_writer},
     }
+    return entry, fifo_payload
 
 
 def sanitize_target(target, track_writes=True, max_cells=None):
-    """Sanitize every cell of ``target``; returns the full report dict."""
+    """Sanitize every cell of ``target`` and the inputs they consume
+    (inputs first); returns the full report dict."""
     builder = TARGETS.get(target)
     if builder is None:
         raise ConfigurationError(
             "unknown sanitize target %r (choose from: %s)"
             % (target, ", ".join(sorted(TARGETS)))
         )
-    specs = builder()
+    specs = cells.input_closure(builder())
     if max_cells is not None:
         specs = specs[:max_cells]
-    entries = [sanitize_cell(cell, track_writes) for cell in specs]
+    payloads = {}
+    entries = []
+    for cell in specs:
+        inputs = tuple(payloads[source.id] for source in cells.inputs_of(cell))
+        entry, payloads[cell.id] = _dual_run(cell, track_writes, inputs)
+        entries.append(entry)
     tie_total = sum(len(entry["races"]["tie_order"]) for entry in entries)
     writer_total = sum(len(entry["races"]["multi_writer"]) for entry in entries)
     return {

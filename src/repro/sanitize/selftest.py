@@ -19,6 +19,8 @@ from repro.sim.engine import Engine
 class SelftestCell:
     """Duck-typed stand-in for a CellSpec: an ``id`` plus ``run()``."""
 
+    kind = "selftest"  # consumes no other cell
+
     def __init__(self, cell_id, fn, expect_race):
         self.id = cell_id
         self._fn = fn

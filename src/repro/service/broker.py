@@ -1,7 +1,9 @@
 """The coalescing execution core behind the query server.
 
 One worker thread drains a pending-cell queue in batches through the
-resilient runner pool (:func:`repro.runner.pool.run_cells_outcome`);
+resilient runner pool (:func:`repro.runner.pool.run_cells_outcome`),
+which also plans and runs the inputs of the batch's cells, so a
+Figure 4 and a Table II query in one batch share their ``micro`` cells;
 an in-flight registry maps every queued-or-executing cell id to the
 ``concurrent.futures.Future`` that will carry its verdict.  Submitting
 a cell that is already in flight *coalesces*: the caller joins the
@@ -247,15 +249,18 @@ class SimulationBroker:
                 verdicts[spec.id] = ("failed", dict(failure, id=spec.id))
                 self.metrics.counter("service.cells.failed").inc()
         else:
+            # every cell the batch resolved counts, the inputs the runner
+            # planned for the requested cells included
+            for result in outcome.results.values():
+                if result.source == "cache":
+                    self.metrics.counter("service.cells.cached").inc()
+                else:
+                    self.metrics.counter("service.cells.simulated").inc()
             failed_by_id = {failed.cell_id: failed for failed in outcome.failures}
             for spec in batch:
                 result = outcome.results.get(spec.id)
                 if result is not None:
                     verdicts[spec.id] = ("ok", result)
-                    if result.source == "cache":
-                        self.metrics.counter("service.cells.cached").inc()
-                    else:
-                        self.metrics.counter("service.cells.simulated").inc()
                     continue
                 failed = failed_by_id.get(spec.id)
                 document = (

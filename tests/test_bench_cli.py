@@ -7,6 +7,8 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser, main
+from repro.paperdata import ALL_KEYS
+from repro.runner import cells
 
 TOOLS_DIR = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
@@ -129,11 +131,16 @@ class TestExecution:
         assert warm_out == cold_out
         cold = json.loads((workdir / "cold.json").read_text())
         warm = json.loads((workdir / "warm.json").read_text())
-        assert warm["cache"]["hits"] == cold["totals"]["cells"]
+        # the cold run also ran the derived cells its misses consume; the
+        # warm run hits every requested cell and so plans no input
+        assert cold["totals"]["cells"] == len(cells.input_closure(cells.bench_cells()))
+        assert warm["cache"]["hits"] == warm["totals"]["cells"] == len(cells.bench_cells())
         assert warm["cache"]["misses"] == 0
         assert all(cell["source"] == "cache" for cell in warm["cells"])
         assert warm["report_sha256"] == cold["report_sha256"]
-        assert warm["totals"]["simulated_cycles"] == cold["totals"]["simulated_cycles"]
+        assert warm["totals"]["simulated_cycles"] == sum(
+            cell["simulated_cycles"] for cell in cold["cells"] if cell["kind"] != "derived"
+        )
 
     def test_no_cache_leaves_no_cache_directory(self, workdir, capsys):
         assert main(["bench", "--no-cache"]) == 0
@@ -300,7 +307,8 @@ class TestBenchHistory:
         assert cold["report_sha256"] == warm["report_sha256"]
         assert cold["cache_hit_rate"] == 0.0
         assert warm["cache_hit_rate"] == 1.0
-        assert cold["cells"] == warm["cells"] > 0
+        # cold lists the derived inputs it ran; warm plans none
+        assert cold["cells"] == warm["cells"] + len(ALL_KEYS) > len(ALL_KEYS)
         assert cold["partial"] is False
 
         validator = _load_validate_bench()

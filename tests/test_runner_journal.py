@@ -24,7 +24,7 @@ import pytest
 
 from repro.core import suite
 from repro.errors import ConfigurationError
-from repro.runner import bench, faults
+from repro.runner import bench, cells, faults
 from repro.runner import journal as journal_mod
 from repro.runner.journal import JournalError, RunJournal
 
@@ -231,7 +231,12 @@ class TestBenchJournaling:
         block = outcome.document["journal"]
         assert block["resumed"] is True
         assert block["resimulated"] == 0
-        assert block["completed_before"] == outcome.document["totals"]["cells"]
+        # the first run completed the grid and the derived cells it
+        # planned; the resume serves the grid from cache, plans no input
+        assert block["completed_before"] == len(
+            cells.input_closure(cells.bench_cells())
+        )
+        assert outcome.document["totals"]["cells"] == len(cells.bench_cells())
         assert outcome.document["cache"]["misses"] == 0
         assert outcome.document["report_sha256"] == GOLDEN_REPORT_SHA
         # the second pass appended run-resume + run-close to the same file

@@ -8,6 +8,7 @@ counter-level facts — how many cells were simulated, how many joined
 in-flight work, how many batches the worker drained.
 """
 
+from repro.runner import cells
 from repro.service import queries
 
 from tests.serviceutil import (
@@ -107,10 +108,11 @@ class TestDistinctQueriesSharingCells:
                 handle.broker.release()
             documents = [thread.result() for thread in threads]
 
-            # each unique cell simulated exactly once, overlaps joined
-            assert counter_value(handle, "service.cells.simulated") == len(
-                distinct_ids
-            )
+            # each unique cell simulated exactly once, overlaps joined;
+            # the vhe appcol cells' derived inputs are simulated too
+            planned = cells.input_closure(table2_specs + vhe_specs)
+            assert len(planned) == len(distinct_ids) + 2
+            assert counter_value(handle, "service.cells.simulated") == len(planned)
             assert counter_value(handle, "service.cells.coalesced") == (
                 total_cells - len(distinct_ids)
             )

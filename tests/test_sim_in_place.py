@@ -30,9 +30,24 @@ def _run(thunk, sanitized):
 
 
 def test_every_bench_cell_matches_the_heap_only_reference():
-    for spec in cells.bench_cells():  # the full report plus oversubscription
-        fast, fast_engines = _run(lambda: cells.run_cell(spec), sanitized=False)
-        reference, reference_engines = _run(lambda: cells.run_cell(spec), sanitized=True)
+    # the full report plus oversubscription, and the derived cells they
+    # consume; each side feeds its consumers its own input payloads
+    payloads = {False: {}, True: {}}
+
+    def run(spec, sanitized):
+        done = payloads[sanitized]
+        inputs = tuple(done[source.id] for source in cells.inputs_of(spec))
+        payload, engines = _run(
+            lambda: cells.run_cell(spec, inputs=inputs), sanitized=sanitized
+        )
+        done[spec.id] = payload
+        return payload, engines
+
+    closure = cells.input_closure(cells.bench_cells())
+    assert {spec.kind for spec in closure} >= {"derived", "appcol", "ablation"}
+    for spec in closure:
+        fast, fast_engines = run(spec, sanitized=False)
+        reference, reference_engines = run(spec, sanitized=True)
         assert payload_sha256(fast) == payload_sha256(reference), spec.id
         assert [(e._seq, e.now) for e in fast_engines] == [
             (e._seq, e.now) for e in reference_engines

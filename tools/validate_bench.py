@@ -47,7 +47,7 @@ RESILIENCE_COUNTERS = (
 )
 #: scoreboard figures (ROADMAP item 5): run-level throughput numbers
 SCOREBOARD_FIELDS = ("wall_clock_s", "cells_per_second", "cache_hit_rate")
-ATTEMPT_KINDS = {"exception", "timeout", "pool-crash", "corrupt-payload"}
+ATTEMPT_KINDS = {"exception", "timeout", "pool-crash", "corrupt-payload", "input-failed"}
 
 
 def _is_nonneg_number(value):
